@@ -6,7 +6,7 @@ DAG: one router port at each end plus a lightpath holding a contiguous
 spectrum block.  Installation reserves those resources transactionally.
 """
 
-from ibnsim import ConnectivityIntent, DomainController, NodeId, export_dag
+from ibnsim import ConnectivityIntent, DomainController, NodeId, export_dag, export_topology
 from ibnsim.compilation import (
     compile_connectivity,
     install_intent,
@@ -39,8 +39,8 @@ show("compiled (implementation chosen, nothing reserved yet)")
 install_intent(ctrl, iid)
 show("installed (slots, ports, add/drop reserved)")
 print("reserved slot cells:", ctrl.ledger.reserved_cell_count())
-print("virtual links:", [(str(v.endpoints[0]), str(v.endpoints[1]), v.capacity)
-                         for v in ctrl.graph.virtual_links])
+print("virtual links:", [(v["a"], v["b"], v["capacity"]) for v in
+                         export_topology({1: ctrl})["domains"][0]["virtual_links"]])
 
 # The DAG renders to Graphviz DOT for inspection.
 print("--- DOT export")

@@ -14,7 +14,6 @@ from typing import Optional
 
 from .errors import (
     NotLocalSourceError,
-    UnknownIntentError,
     WrongStateError,
 )
 from .intents import (
@@ -24,7 +23,7 @@ from .intents import (
     RemoteIntent,
     RouterPortIntent,
 )
-from .network import FiberLink, NetworkGraph, RouterView, TransmissionMode, link_key
+from .network import FiberLink, NetworkGraph, RouterView, TransmissionMode
 
 
 class CompileOutcome(enum.Enum):
@@ -139,19 +138,21 @@ def select_mode(modes, rate: int, distance: float) -> Optional[TransmissionMode]
 
 
 def first_fit_spectrum(
-    graph: NetworkGraph, path, width: int
+    graph: NetworkGraph, path, width: int, as_free=()
 ) -> Optional[tuple[int, int]]:
     """Lowest-start contiguous block of ``width`` slots free on every link.
 
-    Returns the inclusive (start, end) interval or None when no block fits.
+    Slots held by the intents in ``as_free`` count as free.  Returns the
+    inclusive (start, end) interval or None when no block fits.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    links = graph.path_links(path)
+    free = {None, *as_free}
+    grids = [link.slot_grid for link in graph.path_links(path)]
     for start in range(1, graph.slot_count - width + 2):
         if all(
-            link.is_free(slot)
-            for link in links
+            grid[slot - 1] in free
+            for grid in grids
             for slot in range(start, start + width)
         ):
             return (start, start + width - 1)
@@ -192,47 +193,21 @@ def compile_connectivity(domain, iid) -> CompilationResult:
 
 
 def _compile_intra(domain, iid, payload: ConnectivityIntent) -> CompilationResult:
-    graph = domain.graph
+    plan = _plan(domain, payload.src, payload.dst, payload.rate,
+                 payload.excluded_links())
+    if isinstance(plan, BlockReason):
+        return blocked(plan)
+    path, mode, block = plan
     dag = domain.dag
-    src, dst, rate = payload.src, payload.dst, payload.rate
-
-    # Termination resources at both ends; authoritative re-check at install.
-    for node in (src, dst):
-        if not graph.routers[node].has_free_port(rate):
-            return blocked(BlockReason.NO_PORT)
-        if not graph.oxcs[node].can_terminate():
-            return blocked(BlockReason.NO_PORT)
-
-    paths = graph.k_shortest_paths(
-        src, dst, domain.config.k_paths, exclude_links=payload.excluded_links()
+    children = (
+        dag.add_child(iid, RouterPortIntent(payload.src, payload.rate)),
+        dag.add_child(iid, RouterPortIntent(payload.dst, payload.rate)),
+        dag.add_child(iid, LightpathIntent(tuple(path), mode, block)),
     )
-    if not paths:
-        return blocked(BlockReason.NO_PATH)
-
-    reason = None
-    for path in paths:
-        length = graph.path_length(path)
-        mode = select_mode(domain.config.mode_table, rate, length)
-        if mode is None:
-            if reason is None:
-                reason = BlockReason.NO_MODE
-            continue
-        block = first_fit_spectrum(graph, path, mode.slots_needed)
-        if block is None:
-            if reason is None:
-                reason = BlockReason.NO_SPECTRUM
-            continue
-        children = (
-            dag.add_child(iid, RouterPortIntent(src, rate)),
-            dag.add_child(iid, RouterPortIntent(dst, rate)),
-            dag.add_child(iid, LightpathIntent(tuple(path), mode, block)),
-        )
-        for child in children:
-            dag.transition(child, IntentState.COMPILED)
-        dag.transition(iid, IntentState.COMPILED)
-        return CompilationResult(CompileOutcome.COMPILED, children)
-
-    return blocked(reason if reason is not None else BlockReason.NO_PATH)
+    for child in children:
+        dag.transition(child, IntentState.COMPILED)
+    dag.transition(iid, IntentState.COMPILED)
+    return CompilationResult(CompileOutcome.COMPILED, children)
 
 
 def compile_probe(domain, src, dst, rate, excluded_links=(), as_free=()) -> bool:
@@ -241,54 +216,49 @@ def compile_probe(domain, src, dst, rate, excluded_links=(), as_free=()) -> bool
     ``as_free`` names intent ids whose current holdings count as available,
     so a failed intent's own reservations do not block its recompilation.
     """
+    plan = _plan(domain, src, dst, rate, excluded_links, set(as_free))
+    return not isinstance(plan, BlockReason)
+
+
+def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
+    """First feasible (path, mode, slot block) from src to dst, else the
+    first BlockReason met.
+
+    Ports, add/drop terminations and slots held by the intents in
+    ``as_free`` count as free; the install re-checks every resource.
+    """
     graph = domain.graph
-    as_free = set(as_free)
+    holding = (IntentState.INSTALLED, IntentState.FAILED)
+    held = [n.payload for n in map(domain.dag.nodes.get, as_free)
+            if n is not None and n.state in holding]
+    for node in (src, dst):
+        router, oxc = graph.routers[node], graph.oxcs[node]
+        ports = router.ports_used - sum(
+            isinstance(p, RouterPortIntent) and p.node == node for p in held
+        )
+        ends = oxc.add_drop_used - sum(
+            isinstance(p, LightpathIntent) and node in (p.path[0], p.path[-1])
+            for p in held
+        )
+        if (ports >= router.port_count or rate > router.port_rate
+                or ends >= oxc.add_drop_capacity):
+            return BlockReason.NO_PORT
 
-    def port_ok(node):
-        router = graph.routers[node]
-        freed = sum(1 for held, _ in domain.ledger.port_holdings.get(node, ())
-                    if held in as_free)
-        return router.ports_used - freed < router.port_count and rate <= router.port_rate
-
-    def terminate_ok(node, holders):
-        oxc = graph.oxcs[node]
-        return oxc.add_drop_used - holders.get(node, 0) < oxc.add_drop_capacity
-
-    if not (port_ok(src) and port_ok(dst)):
-        return False
-    freed_adddrop = _adddrop_held_by(domain, as_free)
-    if not (terminate_ok(src, freed_adddrop) and terminate_ok(dst, freed_adddrop)):
-        return False
-
-    for path in graph.k_shortest_paths(src, dst, domain.config.k_paths,
-                                       exclude_links=excluded_links):
+    paths = graph.k_shortest_paths(
+        src, dst, domain.config.k_paths, exclude_links=excluded_links
+    )
+    reason = None
+    for path in paths:
         mode = select_mode(domain.config.mode_table, rate, graph.path_length(path))
         if mode is None:
+            reason = reason or BlockReason.NO_MODE
             continue
-        links = graph.path_links(path)
-        width = mode.slots_needed
-        for start in range(1, graph.slot_count - width + 2):
-            if all(
-                link.is_free(slot) or link.holder(slot) in as_free
-                for link in links
-                for slot in range(start, start + width)
-            ):
-                return True
-    return False
-
-
-def _adddrop_held_by(domain, intent_ids) -> dict:
-    """Count add/drop terminations currently held by the given intents."""
-    counts: dict = {}
-    for iid in intent_ids:
-        payload = domain.dag.nodes[iid].payload if iid in domain.dag.nodes else None
-        if isinstance(payload, LightpathIntent) and domain.dag.state(iid) in (
-            IntentState.INSTALLED,
-            IntentState.FAILED,
-        ):
-            for end in (payload.path[0], payload.path[-1]):
-                counts[end] = counts.get(end, 0) + 1
-    return counts
+        block = first_fit_spectrum(graph, path, mode.slots_needed, as_free)
+        if block is None:
+            reason = reason or BlockReason.NO_SPECTRUM
+            continue
+        return path, mode, block
+    return reason or BlockReason.NO_PATH
 
 
 # -- installation ------------------------------------------------------------
@@ -349,8 +319,6 @@ def install_intent(domain, iid) -> InstallOutcome:
             return InstallOutcome.CONFLICT
 
     # Commit.
-    from .network import VirtualLink
-
     for leaf, payload in demands:
         if isinstance(payload, RouterPortIntent):
             domain.ledger.reserve_port(graph.routers[payload.node], leaf, payload.rate)
@@ -360,11 +328,6 @@ def install_intent(domain, iid) -> InstallOutcome:
                 domain.ledger.reserve_spectrum(link, start, end, leaf)
             for node in (payload.path[0], payload.path[-1]):
                 graph.oxcs[node].add_drop_used += 1
-            graph.virtual_links.append(
-                VirtualLink(
-                    (payload.path[0], payload.path[-1]), payload.mode.rate, leaf
-                )
-            )
         dag.transition(leaf, IntentState.INSTALLED)
     return InstallOutcome.INSTALLED
 
@@ -395,9 +358,6 @@ def uninstall_intent(domain, iid) -> None:
                 domain.ledger.release_spectrum(link, start, end, leaf)
             for node in (payload.path[0], payload.path[-1]):
                 graph.oxcs[node].add_drop_used -= 1
-            graph.virtual_links[:] = [
-                v for v in graph.virtual_links if v.lightpath != leaf
-            ]
         dag.transition(leaf, IntentState.COMPILED)
 
 

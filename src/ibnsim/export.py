@@ -91,14 +91,17 @@ def export_topology(domains: dict) -> dict:
                     "slots": holders,
                 }
             )
+        # Every lightpath that holds reservations is a virtual link.
         virtual = [
             {
-                "a": str(v.endpoints[0]),
-                "b": str(v.endpoints[1]),
-                "capacity": v.capacity,
-                "lightpath": str(v.lightpath),
+                "a": str(node.payload.path[0]),
+                "b": str(node.payload.path[-1]),
+                "capacity": node.payload.mode.rate,
+                "lightpath": str(iid),
             }
-            for v in graph.virtual_links
+            for iid, node in sorted(ctrl.dag.nodes.items())
+            if isinstance(node.payload, LightpathIntent)
+            and node.state in (IntentState.INSTALLED, IntentState.FAILED)
         ]
         doc["domains"].append(
             {"id": did, "nodes": nodes, "fiber_links": links, "virtual_links": virtual}

@@ -16,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import compilation
 from .compilation import (
     BlockReason,
     CompilationResult,
@@ -113,11 +112,6 @@ class BorderLink:
     remote: NodeId
     length: float
 
-    @property
-    def administrator(self) -> int:
-        """Domain that administers the border fiber's slot state."""
-        return min(self.local.domain, self.remote.domain)
-
 
 # -- controller ---------------------------------------------------------------
 
@@ -140,7 +134,6 @@ class DomainController:
     border_links: list = field(default_factory=list)
     neighbor_hops: dict = field(default_factory=dict)  # neighbor -> {domain: hops}
     outboxes: dict = field(default_factory=dict)  # neighbor -> deque[Message]
-    inboxes: dict = field(default_factory=dict)
 
     # Coordination bookkeeping.
     origins: dict = field(default_factory=dict)  # delegated id -> (domain, parent ref)
@@ -367,13 +360,10 @@ def install_crossdomain(domain: DomainController, iid: IntentId) -> InstallOutco
         else:
             local_children.append(child)
 
-    installed = []
     for child in local_children:
         if install_intent(domain, child) is InstallOutcome.CONFLICT:
-            for done in installed:
-                uninstall_intent(domain, done)
+            _release_children(domain, iid)
             return InstallOutcome.CONFLICT
-        installed.append(child)
 
     for child in remote_children:
         mirror = dag.payload(child)
@@ -388,35 +378,42 @@ def finalize_install(domain: DomainController, iid: IntentId) -> InstallOutcome:
     """Resolve a cross-domain install after message quiescence.
 
     If some mirror did not reach installed, compensate: release local
-    reservations and send UNINSTALL for any remote piece that did install.
+    reservations and send UNINSTALL for any remote piece that holds some.
     """
-    dag = domain.dag
-    if dag.aggregate_state(iid) is IntentState.INSTALLED:
+    if domain.dag.aggregate_state(iid) is IntentState.INSTALLED:
         return InstallOutcome.INSTALLED
-    for child in dag.children(iid):
-        payload = dag.payload(child)
-        if isinstance(payload, RemoteIntent):
-            domain.pending_installs.discard(child)
-            if payload.mirrored_state is IntentState.INSTALLED:
-                domain.send(payload.neighbor, Uninstall(payload.remote_id))
-        elif dag.aggregate_state(child) in (IntentState.INSTALLED, IntentState.FAILED):
-            uninstall_intent(domain, child)
+    _release_children(domain, iid)
     return InstallOutcome.CONFLICT
 
 
 def uninstall_crossdomain(domain: DomainController, iid: IntentId) -> None:
     """Release local reservations and ask neighbors to release delegated ones."""
-    dag = domain.dag
-    dag.payload(iid)
-    agg = dag.aggregate_state(iid)
+    agg = domain.dag.aggregate_state(iid)
     if agg not in (IntentState.INSTALLED, IntentState.FAILED):
         raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
-    for child in dag.children(iid):
+    _release_children(domain, iid)
+
+
+def _release_children(domain: DomainController, parent: IntentId,
+                      skip: Optional[IntentId] = None) -> None:
+    """Release what this delegation level holds for ``parent``.
+
+    For every child but ``skip``: drop any pending install verdict, ask the
+    neighbor to uninstall a delegated piece that is installed or failed, and
+    uninstall a local piece that is installed or failed.  A failed piece
+    keeps its reservations until it is uninstalled.
+    """
+    dag = domain.dag
+    holding = (IntentState.INSTALLED, IntentState.FAILED)
+    for child in dag.children(parent):
+        if child == skip:
+            continue
         payload = dag.payload(child)
         if isinstance(payload, RemoteIntent):
-            if payload.mirrored_state in (IntentState.INSTALLED, IntentState.FAILED):
+            domain.pending_installs.discard(child)
+            if payload.mirrored_state in holding:
                 domain.send(payload.neighbor, Uninstall(payload.remote_id))
-        elif dag.aggregate_state(child) in (IntentState.INSTALLED, IntentState.FAILED):
+        elif dag.aggregate_state(child) in holding:
             uninstall_intent(domain, child)
 
 
@@ -456,9 +453,7 @@ def _handle_delegate(domain, msg):
     elif isinstance(body.payload, RouterPortIntent):
         if domain.graph.routers[body.payload.node].has_free_port(body.payload.rate):
             domain.dag.transition(rid, IntentState.COMPILED)
-    state = domain.dag.aggregate_state(rid)
-    domain.last_notified[rid] = state
-    domain.send(msg.sender, StateNotify(rid, state))
+    _reply_state(domain, msg.sender, rid)
 
 
 def _handle_ack(domain, msg):
@@ -500,26 +495,12 @@ def _compensate_failed_install(domain, mirror_node):
     """A remote install failed: roll back this delegation level locally."""
     dag = domain.dag
     for parent in dag.parents(mirror_node):
-        for child in dag.children(parent):
-            if child == mirror_node:
-                continue
-            payload = dag.payload(child)
-            if isinstance(payload, RemoteIntent):
-                domain.pending_installs.discard(child)
-                if payload.mirrored_state is IntentState.INSTALLED:
-                    domain.send(payload.neighbor, Uninstall(payload.remote_id))
-            elif dag.aggregate_state(child) in (
-                IntentState.INSTALLED,
-                IntentState.FAILED,
-            ):
-                uninstall_intent(domain, child)
+        _release_children(domain, parent, skip=mirror_node)
         # Send the definitive verdict upstream even though the aggregate is
         # back to its pre-install value.
         if parent in domain.origins:
-            state = dag.aggregate_state(parent)
-            domain.last_notified[parent] = state
             delegator, _ = domain.origins[parent]
-            domain.send(delegator, StateNotify(parent, state))
+            _reply_state(domain, delegator, parent)
 
 
 def _handle_install_request(domain, msg):
@@ -591,7 +572,5 @@ def deliver_messages(domains: dict) -> list:
             return delivered
         pending.sort(key=lambda m: (m.sender, m.seq))
         for msg in pending:
-            receiver = domains[msg.receiver]
-            receiver.inboxes.setdefault(msg.sender, deque()).append(msg)
-            handle_message(receiver, receiver.inboxes[msg.sender].popleft())
+            handle_message(domains[msg.receiver], msg)
             delivered.append(msg)

@@ -1,8 +1,8 @@
 """Two-layer IP-optical network model for a single domain.
 
-The electrical layer is a set of router views joined by virtual links; the
-optical layer is a set of OXC views joined by fiber links that carry a fixed
-grid of spectrum slots.  Slot indices are 1-based throughout the public API:
+The electrical layer is a set of router views joined by the virtual links
+that installed lightpaths create; the optical layer is a set of OXC views
+joined by fiber links that carry a fixed grid of spectrum slots.  Slot indices are 1-based throughout the public API:
 a fiber with grid size G exposes slots 1..G, and a slot interval is the
 inclusive pair (start, end).
 """
@@ -78,9 +78,6 @@ class OxcView:
     add_drop_capacity: int
     add_drop_used: int = 0
 
-    def can_terminate(self, count: int = 1) -> bool:
-        return self.add_drop_used + count <= self.add_drop_capacity
-
 
 @dataclass
 class FiberLink:
@@ -109,15 +106,6 @@ class FiberLink:
         return {i + 1 for i, holder in enumerate(self.slot_grid) if holder is None}
 
 
-@dataclass(frozen=True)
-class VirtualLink:
-    """Electrical adjacency created by an installed lightpath."""
-
-    endpoints: tuple[NodeId, NodeId]
-    capacity: int  # Gbps
-    lightpath: object  # backing lightpath intent id
-
-
 @dataclass
 class NetworkGraph:
     """Mutable two-layer topology of one domain.
@@ -130,7 +118,6 @@ class NetworkGraph:
     routers: dict = field(default_factory=dict)  # NodeId -> RouterView
     oxcs: dict = field(default_factory=dict)  # NodeId -> OxcView
     fiber_links: dict = field(default_factory=dict)  # LinkKey -> FiberLink
-    virtual_links: list = field(default_factory=list)
     _adjacency: dict = field(default_factory=dict, repr=False)
 
     # -- construction ------------------------------------------------------

@@ -8,10 +8,11 @@ docs/schema.md for the field-by-field reference.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import InvalidConfigError, ScenarioParseError, ScenarioValidationError
 from .intents import ConnectivityIntent
 from .multidomain import DomainConfig, DomainController
 from .network import DEFAULT_MODE_TABLE, DEFAULT_SLOT_COUNT, NodeId, TransmissionMode
@@ -257,6 +258,8 @@ def parse_scenario(document) -> Scenario:
         raise ScenarioValidationError("grid_size must be >= 1")
     if k_paths < 1:
         raise ScenarioValidationError("k_paths must be >= 1")
+    if seed < 0:
+        raise ScenarioValidationError("seed must be >= 0")
     if recovery not in RECOVERY_POLICIES:
         raise ScenarioValidationError(
             f"recovery must be one of {RECOVERY_POLICIES}, got {recovery!r}"
@@ -265,7 +268,7 @@ def parse_scenario(document) -> Scenario:
     mode_table = _parse_mode_table(raw.get("mode_table"))
     domains = _parse_domains(_require(raw, "domains", list))
     owners = _owner_map(domains)
-    border_links = _parse_borders(raw.get("border_links", []), owners, domains)
+    border_links = _parse_borders(_optional(raw, "border_links", list, []), owners, domains)
 
     traffic = None
     events: tuple = ()
@@ -274,7 +277,7 @@ def parse_scenario(document) -> Scenario:
     if "traffic" in raw:
         traffic = _parse_traffic(raw["traffic"], owners, domains)
     elif "events" in raw:
-        events = _parse_events(raw["events"], owners)
+        events = _parse_events(_require(raw, "events", list), owners)
 
     return Scenario(
         domains=domains,
@@ -290,12 +293,18 @@ def parse_scenario(document) -> Scenario:
 
 
 def _require(mapping, key, kind):
+    if not isinstance(mapping, dict):
+        raise ScenarioParseError(
+            f"expected an object holding {key!r}, got {type(mapping).__name__}"
+        )
     if key not in mapping:
         raise ScenarioParseError(f"missing required field {key!r}")
     value = mapping[key]
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioParseError(f"field {key!r} must be a number")
+        if not math.isfinite(value):
+            raise ScenarioParseError(f"field {key!r} must be finite")
         return float(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioParseError(f"field {key!r} must be {kind.__name__}")
@@ -357,16 +366,21 @@ def _parse_domains(raw) -> tuple:
                     f"duplicate node {local} in domain {did}"
                 )
             seen_local.add(local)
-            nodes.append(
-                NodeSpec(
-                    local=local,
-                    ports=_require(nentry, "ports", int),
-                    port_rate=_require(nentry, "port_rate", int),
-                    add_drop=_require(nentry, "add_drop", int),
-                )
+            node = NodeSpec(
+                local=local,
+                ports=_require(nentry, "ports", int),
+                port_rate=_require(nentry, "port_rate", int),
+                add_drop=_require(nentry, "add_drop", int),
             )
+            if min(node.ports, node.port_rate, node.add_drop) < 0:
+                raise ScenarioValidationError(
+                    f"node {local} in domain {did}: ports, port_rate and "
+                    "add_drop must be >= 0"
+                )
+            nodes.append(node)
         links = []
-        for lentry in dentry.get("links", []):
+        seen_links = set()
+        for lentry in _optional(dentry, "links", list, []):
             a = _require(lentry, "a", int)
             b = _require(lentry, "b", int)
             length = _require(lentry, "length", float)
@@ -379,6 +393,9 @@ def _parse_domains(raw) -> tuple:
                 raise ScenarioValidationError(
                     f"link {a}-{b} in domain {did} must have positive length"
                 )
+            if (min(a, b), max(a, b)) in seen_links:
+                raise ScenarioValidationError(f"duplicate link {a}-{b} in domain {did}")
+            seen_links.add((min(a, b), max(a, b)))
             links.append(LinkSpec(a, b, length))
         domains.append(DomainSpec(id=did, nodes=tuple(nodes), links=tuple(links)))
     return tuple(domains)
@@ -434,6 +451,8 @@ def _parse_traffic(raw, owners, domains) -> TrafficConfig:
         pairs = tuple(
             (src, dst, 1.0) for src in nodes for dst in nodes if src != dst
         )
+    elif not isinstance(pairs_raw, list):
+        raise ScenarioParseError('field \'pairs\' must be "all" or a list')
     else:
         pairs = []
         for entry in pairs_raw:
@@ -450,21 +469,20 @@ def _parse_traffic(raw, owners, domains) -> TrafficConfig:
             pairs.append((src, dst, weight))
         pairs = tuple(pairs)
 
-    rates_raw = raw.get("rates")
-    if rates_raw is None:
-        rates = ((100, 1.0),)
-    else:
-        rates = tuple(
-            (_require(entry, "gbps", int), _optional(entry, "weight", float, 1.0))
-            for entry in rates_raw
-        )
-    return TrafficConfig(
-        arrivals=arrivals,
-        arrival_rate=rate,
-        mean_holding=holding,
-        pairs=pairs,
-        rates=rates,
+    rates = tuple(
+        (_require(entry, "gbps", int), _optional(entry, "weight", float, 1.0))
+        for entry in _optional(raw, "rates", list, [{"gbps": 100}])
     )
+    try:
+        return TrafficConfig(
+            arrivals=arrivals,
+            arrival_rate=rate,
+            mean_holding=holding,
+            pairs=pairs,
+            rates=rates,
+        )
+    except InvalidConfigError as exc:
+        raise ScenarioValidationError(f"traffic: {exc}") from None
 
 
 def _parse_events(raw, owners) -> tuple:

@@ -109,6 +109,21 @@ class TrafficConfig:
     pairs: tuple  # ((src: NodeId, dst: NodeId, weight), ...)
     rates: tuple = ((100, 1.0),)  # ((gbps, weight), ...)
 
+    def __post_init__(self):
+        if self.arrivals < 0:
+            raise InvalidConfigError("arrivals must be >= 0")
+        if self.arrival_rate <= 0:
+            raise InvalidConfigError("arrival rate must be > 0")
+        if self.mean_holding <= 0:
+            raise InvalidConfigError("mean holding time must be > 0")
+        if not self.pairs:
+            raise InvalidConfigError("traffic needs at least one node pair")
+        for src, dst, weight in self.pairs:
+            if src == dst or weight <= 0:
+                raise InvalidConfigError(f"bad traffic pair ({src}, {dst}, {weight})")
+        if not self.rates or any(w <= 0 or r <= 0 for r, w in self.rates):
+            raise InvalidConfigError("rates need positive gbps and weights")
+
 
 def generate_traffic(config: TrafficConfig, seed: int) -> list:
     """Synthesize ARRIVAL events with exponential inter-arrival/holding times.
@@ -118,22 +133,8 @@ def generate_traffic(config: TrafficConfig, seed: int) -> list:
     (-ln(1-u) / rate), so scaling the arrival rate rescales arrival times
     exactly while leaving the rest of the stream untouched.
     """
-    if config.arrivals < 0:
-        raise InvalidConfigError("arrivals must be >= 0")
     if config.arrivals == 0:
         return []
-    if config.arrival_rate <= 0:
-        raise InvalidConfigError("arrival rate must be > 0")
-    if config.mean_holding <= 0:
-        raise InvalidConfigError("mean holding time must be > 0")
-    if not config.pairs:
-        raise InvalidConfigError("traffic needs at least one node pair")
-    for src, dst, weight in config.pairs:
-        if src == dst or weight <= 0:
-            raise InvalidConfigError(f"bad traffic pair ({src}, {dst}, {weight})")
-    if not config.rates or any(w <= 0 or r <= 0 for r, w in config.rates):
-        raise InvalidConfigError("bad rate weights")
-
     rng = np.random.Generator(np.random.PCG64(seed))
     pair_cum = _cumulative([w for _, _, w in config.pairs])
     rate_cum = _cumulative([w for _, w in config.rates])
@@ -416,7 +417,9 @@ class Simulation:
             )
         else:
             self.metrics.blocked += 1
-            self._strip_blocked(ctrl, iid)
+            # Metrics and the event log keep the record of a blocked request;
+            # the DAG drops it, and the neighbors drop its delegated pieces.
+            ctrl.remove(iid)
 
         self.metrics.per_intent.append(record)
         self.event_log.append(
@@ -432,15 +435,6 @@ class Simulation:
                 "reason": reason if not installed else "",
             }
         )
-
-    def _strip_blocked(self, ctrl: DomainController, iid) -> None:
-        """Drop the partial implementation of a blocked intent.
-
-        The root stays in the DAG, uncompiled, as the record of the blocked
-        request; delegated pieces are withdrawn from the neighbors.
-        """
-        for child in list(ctrl.dag.children(iid)):
-            ctrl.remove(child)
 
     def _handle_departure(self, event: Event) -> None:
         ctrl = self.domains[event.domain]

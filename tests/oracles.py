@@ -70,9 +70,9 @@ def free_slots_on_path(graph, path, treat_free=()):
     return free
 
 
-def brute_first_fit(graph, path, width):
+def brute_first_fit(graph, path, width, treat_free=()):
     """Lowest feasible start index by scanning every candidate block."""
-    free = free_slots_on_path(graph, path)
+    free = free_slots_on_path(graph, path, treat_free)
     for start in range(1, graph.slot_count - width + 2):
         if all(slot in free for slot in range(start, start + width)):
             return (start, start + width - 1)
@@ -165,13 +165,14 @@ def audit_resources(domains):
     return problems
 
 
-def oracle_compile(graph, mode_table, src, dst, rate, k, exclude=()):
+def oracle_compile(graph, mode_table, src, dst, rate, k, exclude=(), treat_free=()):
     """Minimal feasible (path, mode, slot interval) under the declared order.
 
     Enumerates every triple over the k-ranked candidate paths and picks the
     minimum by (path rank, slot start), breaking mode ties by
-    (slots, rate, table position).  Returns None when nothing is feasible,
-    which must coincide with a blocked compilation.
+    (slots, rate, table position).  Slots held by ``treat_free`` count as
+    free.  Returns None when nothing is feasible, which must coincide with a
+    blocked compilation.
     """
     candidates = ranked_paths(graph, src, dst, k, exclude)
     best = None
@@ -181,7 +182,7 @@ def oracle_compile(graph, mode_table, src, dst, rate, k, exclude=()):
         for position, mode in enumerate(mode_table):
             if mode.rate < rate or mode.reach < length:
                 continue
-            block = brute_first_fit(graph, path, mode.slots_needed)
+            block = brute_first_fit(graph, path, mode.slots_needed, treat_free)
             if block is None:
                 continue
             key = (rank, block[0], mode.slots_needed, mode.rate, position)

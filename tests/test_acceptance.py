@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 from ibnsim.cli import main as cli_main
-from ibnsim.compilation import CompileOutcome, compile_connectivity
+from ibnsim.compilation import (
+    CompileOutcome,
+    InstallOutcome,
+    compile_connectivity,
+    compile_probe,
+    install_intent,
+)
 from ibnsim.errors import IllegalTransitionError
 from ibnsim.intents import (
     ALLOWED_TRANSITIONS,
@@ -157,6 +163,40 @@ def test_criterion_2_rsa_oracle_equivalence():
         not mismatches,
         f"{cases} random graphs, {len(mismatches)} mismatches",
     )
+
+
+def test_compile_probe_agrees_with_compile_and_oracle():
+    # On the criterion-2 graphs: with nothing treated as free the probe is
+    # true exactly when compilation compiles; after one install, a probe that
+    # treats the installed intent's leaves as free matches the oracle run
+    # with those holdings treated as free.
+    rng = random.Random(22)
+    mismatches = []
+    verdicts_changed_by_freeing = 0
+    for case in range(250):
+        ctrl, src, dst, rate = random_rsa_case(rng)
+        probed = compile_probe(ctrl, src, dst, rate, as_free=())
+        iid = ctrl.add_intent(ConnectivityIntent(src, dst, rate))
+        compiled = compile_connectivity(ctrl, iid).outcome is CompileOutcome.COMPILED
+        if probed != compiled:
+            mismatches.append((case, f"probe {probed}, compile {compiled}"))
+        if not compiled:
+            continue
+        assert install_intent(ctrl, iid) is InstallOutcome.INSTALLED
+        held = ctrl.dag.leaves_under(iid)
+        probe_rate = rng.choice([100, 200, 400])
+        verdicts = []
+        for as_free in ((), held):
+            expected = oracle_compile(
+                ctrl.graph, ctrl.config.mode_table, src, dst, probe_rate,
+                ctrl.config.k_paths, treat_free=as_free,
+            ) is not None
+            verdicts.append(expected)
+            if compile_probe(ctrl, src, dst, probe_rate, as_free=as_free) != expected:
+                mismatches.append((case, f"as_free={as_free}: oracle {expected}"))
+        verdicts_changed_by_freeing += verdicts[0] != verdicts[1]
+    assert not mismatches
+    assert verdicts_changed_by_freeing > 0
 
 
 # -- 3. no overbooking under load -------------------------------------------------

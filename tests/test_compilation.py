@@ -5,12 +5,14 @@ from ibnsim.compilation import (
     CompileOutcome,
     InstallOutcome,
     compile_connectivity,
+    compile_probe,
     first_fit_spectrum,
     install_intent,
     select_mode,
     uninstall_intent,
 )
 from ibnsim.errors import NotLocalSourceError, UnknownIntentError, WrongStateError
+from ibnsim.export import export_topology
 from ibnsim.intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId, TransmissionMode
 
@@ -186,7 +188,9 @@ class TestInstallIntent:
         assert [link.holder(s) for s in range(1, 5)] == [lightpath_id] * 4
         assert ctrl.graph.routers[NodeId(1, 1)].ports_used == 1
         assert ctrl.graph.oxcs[NodeId(1, 1)].add_drop_used == 1
-        assert len(ctrl.graph.virtual_links) == 1
+        assert export_topology({1: ctrl})["domains"][0]["virtual_links"] == [
+            {"a": "1.1", "b": "1.2", "capacity": 100, "lightpath": str(lightpath_id)}
+        ]
 
     def test_second_intent_conflicts_on_last_block(self):
         # Ledger replay by hand: grid 8 with slots 1..4 seeded leaves one
@@ -234,6 +238,20 @@ class TestInstallIntent:
         assert install_intent(ctrl, b) is InstallOutcome.CONFLICT
 
 
+class TestCompileProbe:
+    @pytest.mark.parametrize("ports, add_drop", [(1, 4), (4, 1)])
+    def test_held_terminations_count_as_free(self, ports, add_drop):
+        # One installed intent uses the only port or the only add/drop
+        # termination at each end; a 16-slot grid leaves spectrum to spare.
+        ctrl = make_domain(nodes=2, slot_count=16, ports=ports, add_drop=add_drop)
+        chain(ctrl, [100.0])
+        iid = compiled_intent(ctrl, NodeId(1, 1), NodeId(1, 2))
+        assert install_intent(ctrl, iid) is InstallOutcome.INSTALLED
+        held = ctrl.dag.leaves_under(iid)
+        assert not compile_probe(ctrl, NodeId(1, 1), NodeId(1, 2), 100)
+        assert compile_probe(ctrl, NodeId(1, 1), NodeId(1, 2), 100, as_free=held)
+
+
 class TestUninstallIntent:
     def test_restores_pre_install_snapshot(self):
         ctrl = make_domain(nodes=2)
@@ -243,7 +261,7 @@ class TestUninstallIntent:
         install_intent(ctrl, iid)
         uninstall_intent(ctrl, iid)
         assert ctrl.ledger.snapshot() == before
-        assert not ctrl.graph.virtual_links
+        assert export_topology({1: ctrl})["domains"][0]["virtual_links"] == []
         assert ctrl.graph.oxcs[NodeId(1, 1)].add_drop_used == 0
 
     def test_uncompiled_is_wrong_state(self):

@@ -1,8 +1,14 @@
-import pytest
+import copy
+import json
 
-from ibnsim.errors import ScenarioParseError, ScenarioValidationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ibnsim.errors import ScenarioError, ScenarioParseError, ScenarioValidationError
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
 from ibnsim.scenario import parse_scenario, render_scenario
+from ibnsim.simulation import Simulation
 
 MINIMAL = {
     "schema": 1,
@@ -157,3 +163,125 @@ class TestBuildDomains:
         events = sc.build_events()
         assert len(events) == 10
         assert all(e.intent.src == NodeId(1, 1) for e in events)
+
+
+# -- input boundary ---------------------------------------------------------------
+
+
+def events_doc():
+    return {
+        **MINIMAL,
+        "events": [
+            {"time": 0.0, "kind": "arrival", "src": [1, 1], "dst": [1, 2],
+             "rate": 100, "holding": 5.0},
+            {"time": 1.0, "kind": "link_down", "a": [1, 1], "b": [1, 2]},
+        ],
+    }
+
+
+def with_traffic(**fields):
+    doc = two_domain_doc()
+    doc["traffic"].update(fields)
+    return doc
+
+
+def with_node(**fields):
+    doc = copy.deepcopy(MINIMAL)
+    doc["domains"][0]["nodes"][0].update(fields)
+    return doc
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"schema": 1, "domains": [1]},
+            {"schema": 1, "domains": [{"id": 1, "nodes": [1]}]},
+            [1],
+            {**MINIMAL, "domains": [{**MINIMAL["domains"][0], "links": 5}]},
+            {**MINIMAL, "border_links": {"a": [1, 1]}},
+            {**MINIMAL, "events": "arrival"},
+            with_traffic(pairs=7),
+            with_traffic(rates={"gbps": 100}),
+            {**MINIMAL, "mode_table": [3]},
+            with_traffic(arrival_rate=float("nan")),
+        ],
+    )
+    def test_malformed_containers_are_parse_errors(self, doc):
+        with pytest.raises(ScenarioParseError):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            with_node(ports=-1),
+            with_node(port_rate=-400),
+            with_node(add_drop=-2),
+            with_traffic(rates=[{"gbps": -100}]),
+            with_traffic(rates=[{"gbps": 0}]),
+            with_traffic(rates=[{"gbps": 100, "weight": 0.0}]),
+            with_traffic(rates=[]),
+            with_traffic(pairs=[{"src": [1, 1], "dst": [2, 1], "weight": -1.0}]),
+            with_traffic(pairs=[]),
+            with_traffic(arrivals=-1),
+            with_traffic(mean_holding=0.0),
+            {**two_domain_doc(), "seed": -1},
+            {**MINIMAL, "domains": [{**MINIMAL["domains"][0], "links": [
+                {"a": 1, "b": 2, "length": 100.0}, {"a": 2, "b": 1, "length": 50.0}]}]},
+        ],
+    )
+    def test_out_of_range_values_are_validation_errors(self, doc):
+        with pytest.raises(ScenarioValidationError):
+            parse_scenario(doc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    """Every (key or index) path into the nested value, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid scenario with one to three fields replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from([MINIMAL, two_domain_doc(), events_doc()])))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(JSON_VALUES, mutated_documents()))
+def test_any_json_parses_or_raises_scenario_error(value):
+    # Grid sizes and arrival counts stay small here (integers up to 40), so
+    # building the world allocates little.
+    try:
+        scenario = parse_scenario(json.dumps(value))
+    except ScenarioError:
+        return
+    Simulation(scenario)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from ibnsim.compilation import InstallOutcome, compile_connectivity, install_intent
@@ -6,6 +8,7 @@ from ibnsim.intents import ConnectivityIntent, IntentState, LightpathIntent
 from ibnsim.network import NodeId
 from ibnsim.scenario import parse_scenario
 from ibnsim.simulation import (
+    EventKind,
     Simulation,
     TrafficConfig,
     generate_traffic,
@@ -17,6 +20,7 @@ from .builders import chain, make_domain
 from .oracles import audit_resources
 
 N = NodeId
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def domain_doc(nodes, links, **extra):
@@ -168,6 +172,45 @@ class TestRun:
 
         result = Simulation(parse_scenario(doc), on_event=check).run()
         assert result.metrics.offered == 80
+
+    @pytest.mark.parametrize(
+        "name, cross_domain",
+        [("single_link.json", False), ("three_domain_line.json", True)],
+    )
+    def test_blocked_arrival_leaves_nothing_behind(self, name, cross_domain):
+        # single_link: the third arrival finds no spectrum in its own domain.
+        # three_domain_line: an empty reason marks a block the neighbor
+        # decided after the local piece was compiled and delegated.
+        sim = Simulation(parse_scenario((SCENARIOS / name).read_text()))
+        nodes_before = [dag_nodes(sim)]
+        blocked = []
+
+        def check(sim, event):
+            nodes = dag_nodes(sim)
+            if event.kind is EventKind.ARRIVAL:
+                entry = next(e for e in reversed(sim.event_log) if e["event"] == "arrival")
+                if entry["outcome"] == "blocked":
+                    blocked.append(entry)
+                    assert nodes == nodes_before[-1], entry
+            nodes_before.append(nodes)
+
+        sim.on_event = check
+        sim.run()
+        assert any(
+            (e["src"].split(".")[0] != e["dst"].split(".")[0]) == cross_domain
+            and (e["reason"] == "") == cross_domain
+            for e in blocked
+        )
+
+    def test_reference_run_ends_with_empty_dags(self):
+        scenario = parse_scenario((SCENARIOS / "reference.json").read_text())
+        result = Simulation(scenario).run()
+        assert result.metrics.blocked > 0
+        assert all(not ctrl.dag.nodes for ctrl in result.domains.values())
+
+
+def dag_nodes(sim):
+    return {did: set(ctrl.dag.nodes) for did, ctrl in sim.domains.items()}
 
 
 # -- monitoring ------------------------------------------------------------------
