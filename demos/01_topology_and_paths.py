@@ -37,8 +37,7 @@ print("free slots on 1->2->3:", sorted(graph.free_slot_blocks(path)))
 
 # Occupy a few slots on the 2-3 hop and watch the intersection shrink.
 link = graph.link_between(nodes[2], nodes[3])
-for slot in (1, 2, 3):
-    link.slot_grid[slot - 1] = "someone-else"
+graph.reserve_spectrum(link, 1, 3, "someone-else")
 print("after reserving 1-3 on fiber 2-3:", sorted(graph.free_slot_blocks(path)))
 
 # Failures remove links from routing without touching their state.

@@ -38,7 +38,7 @@ show("compiled (implementation chosen, nothing reserved yet)")
 
 install_intent(ctrl, iid)
 show("installed (slots, ports, add/drop reserved)")
-print("reserved slot cells:", ctrl.ledger.reserved_cell_count())
+print("reserved slot cells:", ctrl.graph.reserved_cells)
 print("virtual links:", [(v["a"], v["b"], v["capacity"]) for v in
                          export_topology({1: ctrl})["domains"][0]["virtual_links"]])
 
@@ -48,4 +48,4 @@ print(export_dag(ctrl.dag), end="")
 
 uninstall_intent(ctrl, iid)
 show("uninstalled (resources released, implementation kept)")
-print("reserved slot cells:", ctrl.ledger.reserved_cell_count())
+print("reserved slot cells:", ctrl.graph.reserved_cells)

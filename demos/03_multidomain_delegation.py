@@ -65,4 +65,4 @@ d1.install(iid)
 deliver_messages(domains)
 print("outcome:", d1.finalize_install(iid).value)
 for did in sorted(domains):
-    print(f"  domain {did} reserved cells:", domains[did].ledger.reserved_cell_count())
+    print(f"  domain {did} reserved cells:", domains[did].graph.reserved_cells)

@@ -5,7 +5,6 @@ from .compilation import (
     CompilationResult,
     CompileOutcome,
     InstallOutcome,
-    ReservationLedger,
     compile_connectivity,
     first_fit_spectrum,
     install_intent,

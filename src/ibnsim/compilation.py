@@ -3,19 +3,16 @@
 Compilation picks an implementation for a connectivity intent: a candidate
 path (k-shortest order), a transmission mode (fewest slots that satisfies
 rate and reach), and a first-fit contiguous spectrum block present on every
-link of the path.  Installation reserves the chosen resources atomically
-through the domain's reservation ledger: either every child resource is
-booked or nothing changes.
+link of the path.  Installation books the chosen resources atomically in
+the domain's graph: either every child resource is booked or nothing
+changes.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    NotLocalSourceError,
-    WrongStateError,
-)
+from .errors import BookingConflictError, NotLocalSourceError, WrongStateError
 from .intents import (
     ConnectivityIntent,
     IntentState,
@@ -23,7 +20,7 @@ from .intents import (
     RemoteIntent,
     RouterPortIntent,
 )
-from .network import FiberLink, NetworkGraph, RouterView, TransmissionMode
+from .network import NetworkGraph, TransmissionMode
 
 
 class CompileOutcome(enum.Enum):
@@ -58,67 +55,6 @@ class CompilationResult:
 
 def blocked(reason: BlockReason) -> CompilationResult:
     return CompilationResult(CompileOutcome.BLOCKED, (), reason)
-
-
-@dataclass
-class ReservationLedger:
-    """Authoritative record of which intent holds which resources.
-
-    Graph views (slot grids, port counters) are updated in lockstep and are
-    derived state; audits may cross-check the two at any time.
-    """
-
-    spectrum_holdings: dict = field(default_factory=dict)  # (LinkKey, slot) -> IntentId
-    port_holdings: dict = field(default_factory=dict)  # NodeId -> [(IntentId, rate)]
-
-    def holder(self, key, slot):
-        return self.spectrum_holdings.get((key, slot))
-
-    def reserve_spectrum(self, link: FiberLink, start: int, end: int, iid) -> None:
-        key = link.key
-        for slot in range(start, end + 1):
-            cell = (key, slot)
-            current = self.spectrum_holdings.get(cell)
-            if current is not None:
-                raise ValueError(f"slot {slot} on {key} already held by {current}")
-            self.spectrum_holdings[cell] = iid
-            link.slot_grid[slot - 1] = iid
-
-    def release_spectrum(self, link: FiberLink, start: int, end: int, iid) -> None:
-        key = link.key
-        for slot in range(start, end + 1):
-            cell = (key, slot)
-            current = self.spectrum_holdings.get(cell)
-            if current != iid:
-                raise ValueError(
-                    f"slot {slot} on {key} held by {current}, not {iid}"
-                )
-            del self.spectrum_holdings[cell]
-            link.slot_grid[slot - 1] = None
-
-    def reserve_port(self, router: RouterView, iid, rate: int) -> None:
-        self.port_holdings.setdefault(router.node, []).append((iid, rate))
-        router.ports_used += 1
-
-    def release_port(self, router: RouterView, iid, rate: int) -> None:
-        holdings = self.port_holdings.get(router.node, [])
-        try:
-            holdings.remove((iid, rate))
-        except ValueError:
-            raise ValueError(f"no port held by {iid} at {router.node}") from None
-        router.ports_used -= 1
-        if not holdings:
-            self.port_holdings.pop(router.node, None)
-
-    def reserved_cell_count(self) -> int:
-        return len(self.spectrum_holdings)
-
-    def snapshot(self):
-        """Frozen copy used by atomicity checks."""
-        return (
-            dict(self.spectrum_holdings),
-            {node: list(held) for node, held in self.port_holdings.items()},
-        )
 
 
 def select_mode(modes, rate: int, distance: float) -> Optional[TransmissionMode]:
@@ -228,18 +164,10 @@ def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
     ``as_free`` count as free; the install re-checks every resource.
     """
     graph = domain.graph
-    holding = (IntentState.INSTALLED, IntentState.FAILED)
-    held = [n.payload for n in map(domain.dag.nodes.get, as_free)
-            if n is not None and n.state in holding]
     for node in (src, dst):
         router, oxc = graph.routers[node], graph.oxcs[node]
-        ports = router.ports_used - sum(
-            isinstance(p, RouterPortIntent) and p.node == node for p in held
-        )
-        ends = oxc.add_drop_used - sum(
-            isinstance(p, LightpathIntent) and node in (p.path[0], p.path[-1])
-            for p in held
-        )
+        ports = router.ports_used - len(as_free & router.port_holders.keys())
+        ends = oxc.add_drop_used - len(as_free & oxc.add_drop_holders)
         if (ports >= router.port_count or rate > router.port_rate
                 or ends >= oxc.add_drop_capacity):
             return BlockReason.NO_PORT
@@ -267,8 +195,8 @@ def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
 def install_intent(domain, iid) -> InstallOutcome:
     """Reserve every child resource of a compiled intent, all or nothing.
 
-    Validates the full set of reservations first, then commits; a conflict
-    leaves the ledger and the graph bit-identical to the pre-call state.
+    The graph refuses any booking that would overbook a resource; a conflict
+    leaves the graph bit-identical to the pre-call state.
     """
     dag = domain.dag
     dag.payload(iid)
@@ -277,59 +205,36 @@ def install_intent(domain, iid) -> InstallOutcome:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected compiled")
 
     graph = domain.graph
-    demands = []
-    for leaf in dag.leaves_under(iid):
-        payload = dag.payload(leaf)
-        if isinstance(payload, RemoteIntent):
-            raise ValueError(
-                f"{iid} has a remote part; use the cross-domain install"
-            )
-        if dag.state(leaf) is IntentState.COMPILED:
-            demands.append((leaf, payload))
+    leaves = dag.leaves_under(iid)
+    if any(isinstance(dag.payload(leaf), RemoteIntent) for leaf in leaves):
+        raise ValueError(f"{iid} has a remote part; use the cross-domain install")
 
-    # Validate with scratch counters so multiple children at one node are
-    # counted cumulatively.
-    port_need: dict = {}
-    adddrop_need: dict = {}
-    spectrum_need: dict = {}
-    for leaf, payload in demands:
-        if isinstance(payload, RouterPortIntent):
-            router = graph.routers.get(payload.node)
-            if router is None or payload.rate > router.port_rate:
-                return InstallOutcome.CONFLICT
-            port_need[payload.node] = port_need.get(payload.node, 0) + 1
-        elif isinstance(payload, LightpathIntent):
-            links = graph.path_links(payload.path)
-            start, end = payload.slot_range
-            for link in links:
-                if not link.operational:
-                    return InstallOutcome.CONFLICT
-                for slot in range(start, end + 1):
-                    cell = (link.key, slot)
-                    if not link.is_free(slot) or cell in spectrum_need:
-                        return InstallOutcome.CONFLICT
-                    spectrum_need[cell] = leaf
-            for node in (payload.path[0], payload.path[-1]):
-                adddrop_need[node] = adddrop_need.get(node, 0) + 1
-    for node, need in port_need.items():
-        if graph.routers[node].ports_used + need > graph.routers[node].port_count:
-            return InstallOutcome.CONFLICT
-    for node, need in adddrop_need.items():
-        if graph.oxcs[node].add_drop_used + need > graph.oxcs[node].add_drop_capacity:
-            return InstallOutcome.CONFLICT
-
-    # Commit.
-    for leaf, payload in demands:
-        if isinstance(payload, RouterPortIntent):
-            domain.ledger.reserve_port(graph.routers[payload.node], leaf, payload.rate)
-        elif isinstance(payload, LightpathIntent):
-            start, end = payload.slot_range
-            for link in graph.path_links(payload.path):
-                domain.ledger.reserve_spectrum(link, start, end, leaf)
-            for node in (payload.path[0], payload.path[-1]):
-                graph.oxcs[node].add_drop_used += 1
+    # Book leaf by leaf; a conflict releases what this call booked.
+    booked = []
+    try:
+        for leaf in leaves:
+            payload = dag.payload(leaf)
+            if dag.state(leaf) is not IntentState.COMPILED:
+                continue
+            if isinstance(payload, RouterPortIntent):
+                graph.reserve_port(payload.node, leaf, payload.rate)
+            elif isinstance(payload, LightpathIntent):
+                graph.reserve_lightpath(payload.path, payload.slot_range, leaf)
+            booked.append((leaf, payload))
+    except BookingConflictError:
+        for leaf, payload in booked:
+            _release(graph, leaf, payload)
+        return InstallOutcome.CONFLICT
+    for leaf, _ in booked:
         dag.transition(leaf, IntentState.INSTALLED)
     return InstallOutcome.INSTALLED
+
+
+def _release(graph, leaf, payload) -> None:
+    if isinstance(payload, RouterPortIntent):
+        graph.release_port(payload.node, leaf)
+    elif isinstance(payload, LightpathIntent):
+        graph.release_lightpath(payload.path, payload.slot_range, leaf)
 
 
 def uninstall_intent(domain, iid) -> None:
@@ -350,14 +255,7 @@ def uninstall_intent(domain, iid) -> None:
         state = dag.state(leaf)
         if state not in (IntentState.INSTALLED, IntentState.FAILED):
             continue
-        if isinstance(payload, RouterPortIntent):
-            domain.ledger.release_port(graph.routers[payload.node], leaf, payload.rate)
-        elif isinstance(payload, LightpathIntent):
-            start, end = payload.slot_range
-            for link in graph.path_links(payload.path):
-                domain.ledger.release_spectrum(link, start, end, leaf)
-            for node in (payload.path[0], payload.path[-1]):
-                graph.oxcs[node].add_drop_used -= 1
+        _release(graph, leaf, payload)
         dag.transition(leaf, IntentState.COMPILED)
 
 
@@ -369,9 +267,8 @@ def teardown_implementation(domain, iid) -> None:
     must notify the neighbor.
     """
     dag = domain.dag
-    for child in dag.children(iid):
-        if isinstance(dag.payload(child), RemoteIntent):
-            raise ValueError(f"{iid} has remote parts; tear down via the controller")
+    if domain.has_remote_parts(iid):
+        raise ValueError(f"{iid} has remote parts; tear down via the controller")
     if dag.aggregate_state(iid) in (IntentState.INSTALLED, IntentState.FAILED):
         uninstall_intent(domain, iid)
     for child in dag.children(iid):

@@ -29,6 +29,10 @@ class LinkStateError(IbnError):
     """Link already in the requested operational state."""
 
 
+class BookingConflictError(IbnError):
+    """A resource is held by another intent, out of capacity, or down."""
+
+
 class InvalidPayloadError(IbnError):
     pass
 

@@ -131,13 +131,13 @@ class RouterPortIntent:
 class RemoteIntent:
     """Mirror of an intent delegated to a neighboring domain.
 
-    ``remote_id`` is assigned by the neighbor and learned from its ACK;
-    ``mirrored_state`` tracks the neighbor-side aggregate via STATE_NOTIFY.
+    ``remote_id`` is assigned by the neighbor and learned from its ACK; the
+    mirror node's own DAG state tracks the neighbor-side aggregate via
+    STATE_NOTIFY.
     """
 
     neighbor: int  # domain identifier
     remote_id: Optional[IntentId] = None
-    mirrored_state: IntentState = IntentState.UNCOMPILED
 
     def validate(self):
         pass

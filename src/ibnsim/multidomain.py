@@ -1,6 +1,6 @@
 """Decentralized coordination between autonomous domain controllers.
 
-Each controller owns one domain's graph, intent DAG, and reservation ledger,
+Each controller owns one domain's graph (its booking record) and intent DAG,
 and exchanges ordered messages with its neighbors through per-pair mailboxes.
 Cross-domain connectivity is split at a border link: the local piece is
 compiled in place while the rest is delegated to the next-hop neighbor, which
@@ -21,7 +21,6 @@ from .compilation import (
     CompilationResult,
     CompileOutcome,
     InstallOutcome,
-    ReservationLedger,
     blocked,
     compile_connectivity,
     install_intent,
@@ -128,7 +127,6 @@ class DomainController:
     id: int
     graph: NetworkGraph = field(default_factory=NetworkGraph)
     dag: IntentDAG = None
-    ledger: ReservationLedger = field(default_factory=ReservationLedger)
     config: DomainConfig = field(default_factory=DomainConfig)
     registry: dict = field(default_factory=dict)  # NodeId -> owning domain id
     border_links: list = field(default_factory=list)
@@ -136,7 +134,7 @@ class DomainController:
     outboxes: dict = field(default_factory=dict)  # neighbor -> deque[Message]
 
     # Coordination bookkeeping.
-    origins: dict = field(default_factory=dict)  # delegated id -> (domain, parent ref)
+    origins: dict = field(default_factory=dict)  # delegated id -> delegator domain
     last_notified: dict = field(default_factory=dict)  # delegated id -> IntentState
     mirror_index: dict = field(default_factory=dict)  # remote id -> local mirror id
     pending_installs: set = field(default_factory=set)  # mirror ids awaiting verdict
@@ -234,8 +232,7 @@ class DomainController:
             state = self.dag.aggregate_state(iid)
             if self.last_notified.get(iid) != state:
                 self.last_notified[iid] = state
-                delegator, _ = self.origins[iid]
-                self.send(delegator, StateNotify(iid, state))
+                self.send(self.origins[iid], StateNotify(iid, state))
 
 
 # -- cross-domain compilation -------------------------------------------------
@@ -411,7 +408,7 @@ def _release_children(domain: DomainController, parent: IntentId,
         payload = dag.payload(child)
         if isinstance(payload, RemoteIntent):
             domain.pending_installs.discard(child)
-            if payload.mirrored_state in holding:
+            if dag.state(child) in holding:
                 domain.send(payload.neighbor, Uninstall(payload.remote_id))
         elif dag.aggregate_state(child) in holding:
             uninstall_intent(domain, child)
@@ -444,7 +441,7 @@ def handle_message(domain: DomainController, msg: Message) -> None:
 def _handle_delegate(domain, msg):
     body = msg.body
     rid = domain.dag.add_intent(body.payload)
-    domain.origins[rid] = (msg.sender, body.parent)
+    domain.origins[rid] = msg.sender
     domain.send(msg.sender, Ack(remote_id=rid, parent=body.parent))
 
     # Eager compilation on receipt.
@@ -470,8 +467,6 @@ def _handle_state_notify(domain, msg):
     node = domain.mirror_index.get(body.remote_id)
     if node is None or node not in domain.dag.nodes:
         raise UnknownRemoteError(f"notify for unknown remote intent {body.remote_id}")
-    mirror = domain.dag.payload(node)
-    mirror.mirrored_state = body.state
     if domain.dag.state(node) is not body.state:
         domain.dag.transition(node, body.state)
 
@@ -499,8 +494,7 @@ def _compensate_failed_install(domain, mirror_node):
         # Send the definitive verdict upstream even though the aggregate is
         # back to its pre-install value.
         if parent in domain.origins:
-            delegator, _ = domain.origins[parent]
-            _reply_state(domain, delegator, parent)
+            _reply_state(domain, domain.origins[parent], parent)
 
 
 def _handle_install_request(domain, msg):

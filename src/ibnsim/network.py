@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
+    BookingConflictError,
     BrokenPathError,
     DuplicateLinkError,
     DuplicateNodeError,
@@ -64,7 +65,11 @@ class RouterView:
     node: NodeId
     port_count: int
     port_rate: int  # Gbps per port
-    ports_used: int = 0
+    port_holders: dict = field(default_factory=dict)  # leaf intent id -> rate
+
+    @property
+    def ports_used(self) -> int:
+        return len(self.port_holders)
 
     def has_free_port(self, rate: int) -> bool:
         return self.ports_used < self.port_count and rate <= self.port_rate
@@ -76,7 +81,11 @@ class OxcView:
 
     node: NodeId
     add_drop_capacity: int
-    add_drop_used: int = 0
+    add_drop_holders: set = field(default_factory=set)  # lightpath leaf ids
+
+    @property
+    def add_drop_used(self) -> int:
+        return len(self.add_drop_holders)
 
 
 @dataclass
@@ -96,9 +105,6 @@ class FiberLink:
     def key(self) -> LinkKey:
         return link_key(*self.endpoints)
 
-    def is_free(self, slot: int) -> bool:
-        return self.slot_grid[slot - 1] is None
-
     def holder(self, slot: int):
         return self.slot_grid[slot - 1]
 
@@ -110,14 +116,17 @@ class FiberLink:
 class NetworkGraph:
     """Mutable two-layer topology of one domain.
 
-    Single-writer: all mutations happen on the owning domain controller's
-    event thread.
+    The only booking record: slot grids, port holders and add/drop holders
+    change through the reserve/release methods below, which refuse to book
+    what is held and to release what another intent holds.  Single-writer:
+    all mutations happen on the owning domain controller's event thread.
     """
 
     slot_count: int = DEFAULT_SLOT_COUNT
     routers: dict = field(default_factory=dict)  # NodeId -> RouterView
     oxcs: dict = field(default_factory=dict)  # NodeId -> OxcView
     fiber_links: dict = field(default_factory=dict)  # LinkKey -> FiberLink
+    reserved_cells: int = 0  # held (fiber, slot) cells, kept by reserve/release
     _adjacency: dict = field(default_factory=dict, repr=False)
 
     # -- construction ------------------------------------------------------
@@ -192,6 +201,65 @@ class NetworkGraph:
             raise LinkStateError(f"fiber {a}-{b} already {state}")
         link.operational = up
         return link
+
+    # -- booking -----------------------------------------------------------
+
+    def reserve_spectrum(self, link: FiberLink, start: int, end: int, holder) -> None:
+        """Book slots start..end of ``link``; fails unless all are free."""
+        self._rebook([link], start, end, None, holder)
+
+    def release_spectrum(self, link: FiberLink, start: int, end: int, holder) -> None:
+        """Free slots start..end of ``link``; fails unless ``holder`` holds all."""
+        self._rebook([link], start, end, holder, None)
+
+    def reserve_port(self, node: NodeId, holder, rate: int) -> None:
+        router = self.routers[node]
+        if holder in router.port_holders or not router.has_free_port(rate):
+            raise BookingConflictError(f"no {rate} Gbps port for {holder} at {node}")
+        router.port_holders[holder] = rate
+
+    def release_port(self, node: NodeId, holder) -> None:
+        if self.routers[node].port_holders.pop(holder, None) is None:
+            raise BookingConflictError(f"no port held by {holder} at {node}")
+
+    def reserve_lightpath(self, path, slot_range, holder) -> None:
+        """Book ``slot_range`` on every fiber of ``path`` and an add/drop
+        termination at both ends, all or nothing.  Every fiber must be up."""
+        ends = [self.oxcs[path[0]], self.oxcs[path[-1]]]
+        for oxc in ends:
+            if holder in oxc.add_drop_holders or oxc.add_drop_used >= oxc.add_drop_capacity:
+                raise BookingConflictError(f"no add/drop for {holder} at {oxc.node}")
+        links = self.path_links(path)
+        if not all(link.operational for link in links):
+            raise BookingConflictError(f"a fiber of {holder}'s path is down")
+        self._rebook(links, *slot_range, None, holder)
+        for oxc in ends:
+            oxc.add_drop_holders.add(holder)
+
+    def release_lightpath(self, path, slot_range, holder) -> None:
+        """Undo ``reserve_lightpath``, all or nothing; down fibers included."""
+        ends = [self.oxcs[path[0]], self.oxcs[path[-1]]]
+        for oxc in ends:
+            if holder not in oxc.add_drop_holders:
+                raise BookingConflictError(f"no add/drop held by {holder} at {oxc.node}")
+        self._rebook(self.path_links(path), *slot_range, holder, None)
+        for oxc in ends:
+            oxc.add_drop_holders.remove(holder)
+
+    def _rebook(self, links, start: int, end: int, current, holder) -> None:
+        """Move slots start..end of every link from ``current`` to ``holder``;
+        fails, changing nothing, if some slot is not held by ``current``."""
+        if not 1 <= start <= end <= self.slot_count:
+            raise ValueError(f"slots {start}-{end} outside a grid of {self.slot_count}")
+        for link in links:
+            for slot in range(start, end + 1):
+                if link.slot_grid[slot - 1] != current:
+                    raise BookingConflictError(f"slot {slot} on {link.key} held by "
+                                               f"{link.slot_grid[slot - 1]}, not {current}")
+        width = end - start + 1
+        for link in links:
+            link.slot_grid[start - 1:end] = [holder] * width
+        self.reserved_cells += width * len(links) * (1 if holder is not None else -1)
 
     # -- routing -----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import InvalidConfigError, ScenarioParseError, ScenarioValidationError
 from .intents import ConnectivityIntent
 from .multidomain import DomainConfig, DomainController
-from .network import DEFAULT_MODE_TABLE, DEFAULT_SLOT_COUNT, NodeId, TransmissionMode
+from .network import DEFAULT_MODE_TABLE, DEFAULT_SLOT_COUNT, NodeId, TransmissionMode, link_key
 from .simulation import Event, EventKind, TrafficConfig, generate_traffic
 
 SCHEMA_VERSION = 1
@@ -65,6 +65,12 @@ class Scenario:
     seed: int = 0
     traffic: Optional[TrafficConfig] = None
     events: tuple = ()
+
+    def __post_init__(self):
+        # Here rather than in the parser, so a seed given on the command
+        # line is checked too.
+        if self.seed < 0:
+            raise ScenarioValidationError("seed must be >= 0")
 
     # -- world building ------------------------------------------------------
 
@@ -258,8 +264,6 @@ def parse_scenario(document) -> Scenario:
         raise ScenarioValidationError("grid_size must be >= 1")
     if k_paths < 1:
         raise ScenarioValidationError("k_paths must be >= 1")
-    if seed < 0:
-        raise ScenarioValidationError("seed must be >= 0")
     if recovery not in RECOVERY_POLICIES:
         raise ScenarioValidationError(
             f"recovery must be one of {RECOVERY_POLICIES}, got {recovery!r}"
@@ -277,7 +281,10 @@ def parse_scenario(document) -> Scenario:
     if "traffic" in raw:
         traffic = _parse_traffic(raw["traffic"], owners, domains)
     elif "events" in raw:
-        events = _parse_events(_require(raw, "events", list), owners)
+        fibers = {link_key(b.a, b.b) for b in border_links}
+        for d in domains:
+            fibers.update(link_key(NodeId(d.id, l.a), NodeId(d.id, l.b)) for l in d.links)
+        events = _parse_events(_require(raw, "events", list), owners, fibers)
 
     return Scenario(
         domains=domains,
@@ -485,7 +492,7 @@ def _parse_traffic(raw, owners, domains) -> TrafficConfig:
         raise ScenarioValidationError(f"traffic: {exc}") from None
 
 
-def _parse_events(raw, owners) -> tuple:
+def _parse_events(raw, owners, fibers) -> tuple:
     events = []
     for entry in raw:
         time = _require(entry, "time", float)
@@ -519,6 +526,8 @@ def _parse_events(raw, owners) -> tuple:
         elif kind in ("link_down", "link_up"):
             a = _parse_node_ref(_require(entry, "a", list), "link event")
             b = _parse_node_ref(_require(entry, "b", list), "link event")
+            if link_key(a, b) not in fibers:
+                raise ScenarioValidationError(f"link event on unknown fiber {a}-{b}")
             events.append({"time": time, "kind": kind, "link": (a, b)})
         else:
             raise ScenarioParseError(f"unknown event kind {kind!r}")

@@ -488,9 +488,7 @@ class Simulation:
             )
 
     def _sample_utilization(self) -> None:
-        reserved = sum(
-            d.ledger.reserved_cell_count() for d in self.domains.values()
-        )
+        reserved = sum(d.graph.reserved_cells for d in self.domains.values())
         value = reserved / self._total_cells if self._total_cells else 0.0
         self.metrics.slot_utilization_samples.append((self.now, value))
 

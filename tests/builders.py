@@ -34,11 +34,22 @@ def chain(ctrl, lengths):
 
 
 def reserve(ctrl, a, b, slots, holder="seed"):
-    """Mark specific slots busy on the fiber a-b, ledger included."""
+    """Book specific slots on the fiber a-b for ``holder`` through the graph."""
     link = ctrl.graph.link_between(a, b)
     for slot in slots:
-        ctrl.ledger.spectrum_holdings[(link.key, slot)] = holder
-        link.slot_grid[slot - 1] = holder
+        ctrl.graph.reserve_spectrum(link, slot, slot, holder)
+
+
+def snapshot(ctrl):
+    """Frozen copy of every booking in the graph, for atomicity checks:
+    slot grids, port holders, add/drop holders and ``reserved_cells``."""
+    graph = ctrl.graph
+    return (
+        {key: list(link.slot_grid) for key, link in graph.fiber_links.items()},
+        {node: dict(router.port_holders) for node, router in graph.routers.items()},
+        {node: set(oxc.add_drop_holders) for node, oxc in graph.oxcs.items()},
+        graph.reserved_cells,
+    )
 
 
 def make_domains(sizes, borders, slot_count=8, ports=8, add_drop=8):

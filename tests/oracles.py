@@ -97,53 +97,69 @@ def mirror_mismatches(domains):
                 mismatches.append((did, iid, "dangling remote id"))
                 continue
             actual = remote.dag.aggregate_state(mirror.remote_id)
-            if actual is not mirror.mirrored_state:
-                mismatches.append(
-                    (did, iid, f"mirror {mirror.mirrored_state} != {actual}")
-                )
+            if actual is not node.state:
+                mismatches.append((did, iid, f"mirror {node.state} != {actual}"))
     return mismatches
 
 
 def audit_resources(domains):
-    """Cross-check ledgers, slot grids, and installed lightpath geometry.
+    """Cross-check the graph's bookings against the DAG, and installed
+    lightpath geometry.
 
-    Returns a list of violation strings; empty means every no-overbooking,
-    contiguity, continuity, and reach invariant holds.
+    Every held slot, port and add/drop termination must be claimed by an
+    installed or failed leaf of the domain's DAG, and every such leaf must
+    hold what it claims.  Returns a list of violation strings; empty means
+    every no-overbooking, contiguity, continuity, and reach invariant holds.
     """
     from ibnsim.intents import IntentState, LightpathIntent, RouterPortIntent
 
+    holding = (IntentState.INSTALLED, IntentState.FAILED)
     problems = []
     for did, ctrl in domains.items():
         graph = ctrl.graph
-        ledger = ctrl.ledger
-        # Grid vs ledger consistency; a grid cell has at most one holder by
-        # construction, the ledger must agree exactly.
+        claimed_cells, claimed_ports, claimed_ends = {}, {}, {}
+        for iid, node in ctrl.dag.nodes.items():
+            payload = node.payload
+            if node.state not in holding:
+                continue
+            if isinstance(payload, RouterPortIntent):
+                claimed_ports.setdefault(payload.node, {})[iid] = payload.rate
+            elif isinstance(payload, LightpathIntent):
+                start, end = payload.slot_range
+                for a, b in zip(payload.path, payload.path[1:]):
+                    for slot in range(start, end + 1):
+                        claimed_cells[(link_key(a, b), slot)] = iid
+                for end_node in (payload.path[0], payload.path[-1]):
+                    claimed_ends.setdefault(end_node, set()).add(iid)
         grid_cells = {}
         for key, link in graph.fiber_links.items():
             for slot, holder in enumerate(link.slot_grid, start=1):
                 if holder is not None:
                     grid_cells[(key, slot)] = holder
-        if grid_cells != dict(ledger.spectrum_holdings):
-            problems.append(f"domain {did}: ledger and slot grids disagree")
+        if grid_cells != claimed_cells:
+            problems.append(f"domain {did}: slot grids and DAG lightpaths disagree")
+        if graph.reserved_cells != len(grid_cells):
+            problems.append(f"domain {did}: reserved_cells is not the held cell count")
         # Port accounting.
         for node, router in graph.routers.items():
-            held = ledger.port_holdings.get(node, [])
-            if router.ports_used != len(held):
-                problems.append(f"domain {did}: port count mismatch at {node}")
+            held = router.port_holders
+            if held != claimed_ports.get(node, {}):
+                problems.append(f"domain {did}: port holders and DAG disagree at {node}")
             if router.ports_used > router.port_count:
                 problems.append(f"domain {did}: ports overbooked at {node}")
-            if sum(rate for _, rate in held) > router.port_count * router.port_rate:
+            if sum(held.values()) > router.port_count * router.port_rate:
                 problems.append(f"domain {did}: port rate budget exceeded at {node}")
         for node, oxc in graph.oxcs.items():
+            ends = claimed_ends.get(node, set())
+            if oxc.add_drop_holders != ends or oxc.add_drop_used != len(ends):
+                problems.append(f"domain {did}: add/drop holders and DAG disagree at {node}")
             if oxc.add_drop_used > oxc.add_drop_capacity:
                 problems.append(f"domain {did}: add/drop overbooked at {node}")
         # Installed lightpaths: contiguous range, continuity on every link,
         # reach-safe, slots actually held by that lightpath.
         for iid, node in ctrl.dag.nodes.items():
             payload = node.payload
-            if not isinstance(payload, LightpathIntent):
-                continue
-            if node.state not in (IntentState.INSTALLED, IntentState.FAILED):
+            if not isinstance(payload, LightpathIntent) or node.state not in holding:
                 continue
             start, end = payload.slot_range
             if end - start + 1 != payload.mode.slots_needed:

@@ -364,7 +364,8 @@ def test_criterion_7_conservation():
     result = Simulation(load("reference.json")).run()
     m = result.metrics
     ledgers_empty = all(
-        ctrl.ledger.reserved_cell_count() == 0 and not ctrl.ledger.port_holdings
+        ctrl.graph.reserved_cells == 0
+        and not any(r.port_holders for r in ctrl.graph.routers.values())
         for ctrl in result.domains.values()
     )
     leftovers_ok = True

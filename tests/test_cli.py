@@ -70,3 +70,19 @@ def test_metrics_csv_shape(tmp_path):
     assert offered == 3
     state = json.loads((out / "state.json").read_text())
     assert "topology" in state and "dags" in state
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    args = ["run", str(SCENARIOS / "reference.json"), "--out", str(tmp_path), "--seed", "-1"]
+    assert main(args) == 2
+    assert "ibnsim: seed must be >= 0" in capsys.readouterr().err
+
+
+def test_link_event_on_unknown_fiber_exits_2(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "single_link.json").read_text())
+    doc["events"].append({"time": 99.0, "kind": "link_down", "a": [1, 1], "b": [1, 9]})
+    path = tmp_path / "unknown_fiber.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.count("unknown fiber 1.1-1.9") == 2

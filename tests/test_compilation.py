@@ -11,12 +11,17 @@ from ibnsim.compilation import (
     select_mode,
     uninstall_intent,
 )
-from ibnsim.errors import NotLocalSourceError, UnknownIntentError, WrongStateError
+from ibnsim.errors import (
+    BookingConflictError,
+    NotLocalSourceError,
+    UnknownIntentError,
+    WrongStateError,
+)
 from ibnsim.export import export_topology
 from ibnsim.intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId, TransmissionMode
 
-from .builders import chain, make_domain, reserve
+from .builders import chain, make_domain, reserve, snapshot
 from .oracles import brute_first_fit, oracle_compile
 
 
@@ -207,9 +212,9 @@ class TestInstallIntent:
         )
         assert lp.slot_range == (5, 8)  # both compiled against the same block
         assert install_intent(ctrl, first) is InstallOutcome.INSTALLED
-        snapshot = ctrl.ledger.snapshot()
+        before = snapshot(ctrl)
         assert install_intent(ctrl, second) is InstallOutcome.CONFLICT
-        assert ctrl.ledger.snapshot() == snapshot
+        assert snapshot(ctrl) == before
         assert ctrl.dag.aggregate_state(second) is IntentState.COMPILED
 
     def test_round_trip_restores_ledger(self):
@@ -217,10 +222,10 @@ class TestInstallIntent:
         chain(ctrl, [100.0])
         iid = compiled_intent(ctrl, NodeId(1, 1), NodeId(1, 2))
         install_intent(ctrl, iid)
-        first = ctrl.ledger.snapshot()
+        first = snapshot(ctrl)
         uninstall_intent(ctrl, iid)
         install_intent(ctrl, iid)
-        assert ctrl.ledger.snapshot() == first
+        assert snapshot(ctrl) == first
 
     def test_wrong_state(self):
         ctrl = make_domain(nodes=2)
@@ -257,10 +262,10 @@ class TestUninstallIntent:
         ctrl = make_domain(nodes=2)
         chain(ctrl, [100.0])
         iid = compiled_intent(ctrl, NodeId(1, 1), NodeId(1, 2))
-        before = ctrl.ledger.snapshot()
+        before = snapshot(ctrl)
         install_intent(ctrl, iid)
         uninstall_intent(ctrl, iid)
-        assert ctrl.ledger.snapshot() == before
+        assert snapshot(ctrl) == before
         assert export_topology({1: ctrl})["domains"][0]["virtual_links"] == []
         assert ctrl.graph.oxcs[NodeId(1, 1)].add_drop_used == 0
 
@@ -284,35 +289,91 @@ class TestUninstallIntent:
         ctrl.dag.transition(lightpath_id, IntentState.FAILED)
         assert ctrl.dag.aggregate_state(iid) is IntentState.FAILED
         uninstall_intent(ctrl, iid)
-        assert ctrl.ledger.reserved_cell_count() == 0
+        assert ctrl.graph.reserved_cells == 0
         assert ctrl.dag.aggregate_state(iid) is IntentState.COMPILED
 
 
-class TestLedger:
+class TestBooking:
     def test_reserve_release_restores_grid(self):
-        ctrl = make_domain(nodes=2)
-        chain(ctrl, [100.0])
-        link = ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))
-        before_grid = list(link.slot_grid)
-        before = ctrl.ledger.snapshot()
-        ctrl.ledger.reserve_spectrum(link, 3, 6, "intent-x")
-        assert link.holder(3) == "intent-x"
-        ctrl.ledger.release_spectrum(link, 3, 6, "intent-x")
-        assert ctrl.ledger.snapshot() == before
-        assert link.slot_grid == before_grid
+        ctrl, graph, link = self.single_link()
+        n1, n2 = NodeId(1, 1), NodeId(1, 2)
+        before = snapshot(ctrl)
+        graph.reserve_spectrum(link, 3, 6, "intent-x")
+        assert link.slot_grid == [None] * 2 + ["intent-x"] * 4 + [None] * 2
+        assert graph.reserved_cells == 4
+        graph.release_spectrum(link, 3, 6, "intent-x")
+        assert snapshot(ctrl) == before
+        graph.reserve_port(n1, "port-x", 100)
+        graph.reserve_lightpath((n1, n2), (1, 4), "lp-x")
+        assert graph.routers[n1].port_holders == {"port-x": 100}
+        assert graph.oxcs[n1].add_drop_holders == graph.oxcs[n2].add_drop_holders == {"lp-x"}
+        assert graph.reserved_cells == 4
+        graph.release_port(n1, "port-x")
+        graph.release_lightpath((n1, n2), (1, 4), "lp-x")
+        assert snapshot(ctrl) == before
 
     def test_double_reserve_rejected(self):
-        ctrl = make_domain(nodes=2)
+        ctrl, graph, link = self.single_link()
+        graph.reserve_spectrum(link, 1, 4, "a")
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError):
+            graph.reserve_spectrum(link, 4, 5, "b")
+        # A lightpath over a held slot books neither slots nor terminations.
+        with pytest.raises(BookingConflictError):
+            graph.reserve_lightpath((NodeId(1, 1), NodeId(1, 2)), (4, 7), "b")
+        assert snapshot(ctrl) == before
+
+    def test_reserve_beyond_capacity_rejected(self):
+        # One port and one add/drop termination per node, both taken by "a".
+        ctrl = make_domain(nodes=2, ports=1, add_drop=1)
         chain(ctrl, [100.0])
-        link = ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))
-        ctrl.ledger.reserve_spectrum(link, 1, 4, "a")
-        with pytest.raises(ValueError):
-            ctrl.ledger.reserve_spectrum(link, 4, 5, "b")
+        graph = ctrl.graph
+        path = (NodeId(1, 1), NodeId(1, 2))
+        graph.reserve_port(path[0], "a", 100)
+        graph.reserve_lightpath(path, (1, 4), "a")
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError):
+            graph.reserve_port(path[0], "b", 100)
+        with pytest.raises(BookingConflictError):
+            graph.reserve_lightpath(path, (5, 8), "b")
+        assert snapshot(ctrl) == before
+        # With the terminations free again, a down fiber still refuses.
+        graph.release_lightpath(path, (1, 4), "a")
+        graph.set_link_operational(*path, False)
+        with pytest.raises(BookingConflictError):
+            graph.reserve_lightpath(path, (5, 8), "b")
+        assert graph.reserved_cells == 0
 
     def test_release_wrong_holder_rejected(self):
+        ctrl, graph, link = self.single_link()
+        graph.reserve_spectrum(link, 1, 4, "a")
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError):
+            graph.release_spectrum(link, 1, 4, "b")
+        assert snapshot(ctrl) == before
+
+    def test_release_port_wrong_holder_rejected(self):
+        ctrl, graph, _ = self.single_link()
+        graph.reserve_port(NodeId(1, 1), "a", 100)
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError):
+            graph.release_port(NodeId(1, 1), "b")
+        assert snapshot(ctrl) == before
+
+    def test_release_add_drop_wrong_holder_rejected(self):
+        # "b" holds the slots, but "a" holds both terminations.
+        ctrl, graph, link = self.single_link()
+        path = (NodeId(1, 1), NodeId(1, 2))
+        graph.reserve_lightpath(path, (1, 4), "a")
+        graph.release_spectrum(link, 1, 4, "a")
+        graph.reserve_spectrum(link, 1, 4, "b")
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError):
+            graph.release_lightpath(path, (1, 4), "b")
+        assert snapshot(ctrl) == before
+
+    @staticmethod
+    def single_link():
         ctrl = make_domain(nodes=2)
         chain(ctrl, [100.0])
-        link = ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))
-        ctrl.ledger.reserve_spectrum(link, 1, 4, "a")
-        with pytest.raises(ValueError):
-            ctrl.ledger.release_spectrum(link, 1, 4, "b")
+        return ctrl, ctrl.graph, ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))

@@ -18,7 +18,7 @@ from ibnsim.multidomain import (
 )
 from ibnsim.network import NodeId
 
-from .builders import make_domains, reserve
+from .builders import make_domains, reserve, snapshot
 from .oracles import mirror_mismatches
 
 U = IntentState.UNCOMPILED
@@ -170,12 +170,11 @@ class TestHandleMessage:
             n for n, node in d1.dag.nodes.items()
             if isinstance(node.payload, RemoteIntent)
         )
-        mirror = d1.dag.payload(mirror_id)
-        assert mirror.mirrored_state is C
+        assert d1.dag.state(mirror_id) is C
         # Remote side installs on request; mirror then reports installed.
         d1.install(iid)
         deliver_messages(domains)
-        assert mirror.mirrored_state is I
+        assert d1.dag.state(mirror_id) is I
         assert d1.dag.aggregate_state(iid) is I
 
     def test_infeasible_delegation_stays_uncompiled(self):
@@ -232,8 +231,8 @@ class TestInstallCrossdomain:
         iid = installed_crossdomain_intent(domains)
         d1, d2 = domains[1], domains[2]
         assert d1.dag.aggregate_state(iid) is I
-        assert d1.ledger.reserved_cell_count() > 0
-        assert d2.ledger.reserved_cell_count() > 0
+        assert d1.graph.reserved_cells > 0
+        assert d2.graph.reserved_cells > 0
         assert mirror_mismatches(domains) == []
 
     def test_remote_conflict_rolls_back_local(self):
@@ -245,12 +244,12 @@ class TestInstallCrossdomain:
         # Steal the remote spectrum between compile and install.
         for a, b in [(1, 2), (2, 3), (3, 4), (4, 5)]:
             reserve(d2, NodeId(2, a), NodeId(2, b), range(1, 9))
-        local_snapshot_before = d1.ledger.snapshot()
+        local_snapshot_before = snapshot(d1)
         assert d1.install(iid) is InstallOutcome.PENDING
         deliver_messages(domains)
         assert d1.finalize_install(iid) is InstallOutcome.CONFLICT
         deliver_messages(domains)
-        assert d1.ledger.snapshot() == local_snapshot_before
+        assert snapshot(d1) == local_snapshot_before
         assert d1.dag.aggregate_state(iid) is C
         assert mirror_mismatches(domains) == []
 
@@ -269,8 +268,8 @@ class TestTeardown:
         d1.uninstall(iid)
         deliver_messages(domains)
         assert d1.dag.aggregate_state(iid) is C
-        assert d1.ledger.reserved_cell_count() == 0
-        assert d2.ledger.reserved_cell_count() == 0
+        assert d1.graph.reserved_cells == 0
+        assert d2.graph.reserved_cells == 0
         d1.remove(iid)
         deliver_messages(domains)
         assert iid not in d1.dag.nodes
@@ -308,10 +307,10 @@ class TestFailuresAcrossDomains:
         assert recovered == 1
         assert d1.dag.aggregate_state(iid) is I
         mirror = next(
-            node.payload for node in d1.dag.nodes.values()
+            node for node in d1.dag.nodes.values()
             if isinstance(node.payload, RemoteIntent)
         )
-        assert mirror.mirrored_state is I
+        assert mirror.state is I
         assert mirror_mismatches(domains) == []
 
     def test_remote_failure_without_backup_mirrors_failed(self):
@@ -331,7 +330,7 @@ class TestFailuresAcrossDomains:
         d1.remove(iid)
         deliver_messages(domains)
         for ctrl in domains.values():
-            assert ctrl.ledger.reserved_cell_count() == 0
+            assert ctrl.graph.reserved_cells == 0
             assert not ctrl.dag.nodes
 
     def test_local_segment_failure_recovers_without_touching_remote(self):
@@ -340,13 +339,13 @@ class TestFailuresAcrossDomains:
         domains = two_domains()
         d1, d2 = domains[1], domains[2]
         iid = installed_crossdomain_intent(domains)
-        remote_cells_before = dict(d2.ledger.spectrum_holdings)
+        remote_before = snapshot(d2)
         d1.graph.add_fiber_link(NodeId(1, 1), NodeId(1, 3), 350.0)
         recovered = monitor_failure(domains, NodeId(1, 1), NodeId(1, 2))
         deliver_messages(domains)
         assert recovered == 1
         assert d1.dag.aggregate_state(iid) is I
-        assert dict(d2.ledger.spectrum_holdings) == remote_cells_before
+        assert snapshot(d2) == remote_before
 
     def test_border_link_down_falls_back_to_second_border(self):
         domains = make_domains(

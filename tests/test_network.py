@@ -150,8 +150,8 @@ class TestFreeSlotBlocks:
         n1, n2, n3 = add_node(g, 1), add_node(g, 2), add_node(g, 3)
         l1 = g.add_fiber_link(n1, n2, 10.0)
         l2 = g.add_fiber_link(n2, n3, 10.0)
-        l1.slot_grid[0] = l1.slot_grid[1] = "x"
-        l2.slot_grid[1] = l2.slot_grid[2] = "y"
+        g.reserve_spectrum(l1, 1, 2, "x")
+        g.reserve_spectrum(l2, 2, 3, "y")
         assert g.free_slot_blocks([n1, n2, n3]) == {4, 5, 6, 7, 8}
 
     def test_single_node_full_grid(self):
@@ -216,10 +216,10 @@ def test_free_slots_shrink_along_prefixes(graph_nodes, data):
         return
     path = paths[-1]
     for link in g.path_links(path):
-        for slot in data.draw(
+        for slot in set(data.draw(
             st.lists(st.integers(min_value=1, max_value=8), max_size=4)
-        ):
-            link.slot_grid[slot - 1] = "taken"
+        )):
+            g.reserve_spectrum(link, slot, slot, "taken")
     full = g.free_slot_blocks(path)
     for cut in range(2, len(path) + 1):
         assert full <= g.free_slot_blocks(path[:cut])

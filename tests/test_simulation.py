@@ -16,7 +16,7 @@ from ibnsim.simulation import (
     monitor_repair,
 )
 
-from .builders import chain, make_domain
+from .builders import chain, make_domain, reserve, snapshot
 from .oracles import audit_resources
 
 N = NodeId
@@ -111,8 +111,8 @@ class TestRun:
         assert result.metrics.blocked == 0
         assert result.metrics.installed_ok == 1
         for ctrl in result.domains.values():
-            assert ctrl.ledger.reserved_cell_count() == 0
-            assert not ctrl.ledger.port_holdings
+            assert ctrl.graph.reserved_cells == 0
+            assert not any(r.port_holders for r in ctrl.graph.routers.values())
 
     def test_three_simultaneous_arrivals_block_one(self):
         # 8 slots admit exactly two 4-slot lightpaths.
@@ -172,6 +172,32 @@ class TestRun:
 
         result = Simulation(parse_scenario(doc), on_event=check).run()
         assert result.metrics.offered == 80
+
+    @pytest.mark.parametrize(
+        "orphan, problems",
+        [("slot", ["slot grids and DAG lightpaths disagree"]),
+         ("port", ["port holders and DAG disagree at 1.3"]),
+         ("add-drop", [f"add/drop holders and DAG disagree at 1.{i}" for i in (2, 3)]),
+         ("cell-count", ["reserved_cells is not the held cell count"])],
+        ids=["slot", "port", "add-drop", "cell-count"],
+    )
+    def test_audit_reports_orphan_booking(self, orphan, problems):
+        # A booking no DAG leaf claims: the grid and the holders still agree
+        # with each other, so only a check against the DAG can see it.
+        ctrl, a, b, c = triangle_domain()
+        installed(ctrl, a, b)
+        assert audit_resources({1: ctrl}) == []
+        graph = ctrl.graph
+        if orphan == "slot":
+            reserve(ctrl, b, c, [8], holder="orphan")
+        elif orphan == "port":
+            graph.reserve_port(c, "orphan", 100)
+        elif orphan == "add-drop":
+            graph.reserve_lightpath((b, c), (8, 8), "orphan")
+            graph.release_spectrum(graph.link_between(b, c), 8, 8, "orphan")
+        else:
+            graph.reserved_cells += 1
+        assert audit_resources({1: ctrl}) == [f"domain 1: {p}" for p in problems]
 
     @pytest.mark.parametrize(
         "name, cross_domain",
@@ -248,7 +274,7 @@ class TestMonitorFailure:
         assert recovered == 0
         assert ctrl.dag.aggregate_state(iid) is IntentState.FAILED
         # Failure is not a release: the dead lightpath keeps its slots.
-        assert ctrl.ledger.reserved_cell_count() == 4
+        assert ctrl.graph.reserved_cells == 4
 
     def test_backup_path_recovers(self):
         ctrl, a, b, c = triangle_domain()
@@ -319,11 +345,11 @@ class TestMonitorRepair:
         iid = installed(ctrl, a, b)
         monitor_failure({1: ctrl}, a, b)  # recovers onto a-c-b
         state_before = ctrl.dag.aggregate_state(iid)
-        snapshot = ctrl.ledger.snapshot()
+        before = snapshot(ctrl)
         recovered = monitor_repair({1: ctrl}, a, b)
         assert recovered == 0
         assert ctrl.dag.aggregate_state(iid) is state_before
-        assert ctrl.ledger.snapshot() == snapshot
+        assert snapshot(ctrl) == before
 
     def test_already_up(self):
         ctrl, a, b, c = triangle_domain()
@@ -353,7 +379,7 @@ class TestFailureInSimulation:
         # The departure at t=10 uninstalls the failed intent cleanly.
         assert result.metrics.installed_ok == 1
         for ctrl in result.domains.values():
-            assert ctrl.ledger.reserved_cell_count() == 0
+            assert ctrl.graph.reserved_cells == 0
 
     def test_down_up_cycle_recovers(self):
         doc = domain_doc(
