@@ -79,20 +79,29 @@ def first_fit_spectrum(
     """Lowest-start contiguous block of ``width`` slots free on every link.
 
     Slots held by the intents in ``as_free`` count as free.  Returns the
-    inclusive (start, end) interval or None when no block fits.
+    inclusive (start, end) interval or None when no block fits.  Works on
+    the links' ``busy`` bitmasks: bit i of ``fits`` survives the shifted ANDs
+    only when slots i+1..i+width are all free, and bits past the grid are
+    never free, so no block runs off its end.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    free = {None, *as_free}
-    grids = [link.slot_grid for link in graph.path_links(path)]
-    for start in range(1, graph.slot_count - width + 2):
-        if all(
-            grid[slot - 1] in free
-            for grid in grids
-            for slot in range(start, start + width)
-        ):
-            return (start, start + width - 1)
-    return None
+    busy = 0
+    for link in graph.path_links(path):
+        held = link.busy
+        if as_free and held:
+            for i, holder in enumerate(link.slot_grid):
+                if holder in as_free:
+                    held &= ~(1 << i)
+        busy |= held
+    free = ~busy & ((1 << graph.slot_count) - 1)
+    fits = free
+    for shift in range(1, width):
+        fits &= free >> shift
+    if not fits:
+        return None
+    start = (fits & -fits).bit_length()
+    return (start, start + width - 1)
 
 
 # -- compilation -------------------------------------------------------------

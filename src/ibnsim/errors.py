@@ -68,6 +68,10 @@ class UnknownRemoteError(IbnError):
     """
 
 
+class ConservationError(IbnError):
+    """End-of-run counters disagree: offered != blocked + installed."""
+
+
 class ScenarioError(IbnError):
     pass
 

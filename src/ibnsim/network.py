@@ -93,13 +93,16 @@ class FiberLink:
     """Bidirectional fiber with a shared spectrum-slot grid.
 
     slot_grid[i] holds the intent id occupying slot i+1, or None when free;
-    one reservation covers both directions.
+    one reservation covers both directions.  ``busy`` indexes the grid: bit i
+    is set exactly when slot i+1 is held, and only ``NetworkGraph._rebook``
+    writes it.
     """
 
     endpoints: tuple[NodeId, NodeId]
     length: float  # km
     slot_grid: list
     operational: bool = True
+    busy: int = 0
 
     @property
     def key(self) -> LinkKey:
@@ -127,7 +130,10 @@ class NetworkGraph:
     oxcs: dict = field(default_factory=dict)  # NodeId -> OxcView
     fiber_links: dict = field(default_factory=dict)  # LinkKey -> FiberLink
     reserved_cells: int = 0  # held (fiber, slot) cells, kept by reserve/release
-    _adjacency: dict = field(default_factory=dict, repr=False)
+    _adjacency: dict = field(default_factory=dict, repr=False)  # node -> [(neighbor, FiberLink)]
+    # (src, dst, k, frozenset of excluded links) -> tuple of path tuples;
+    # cleared whenever a fiber is added or changes operational state.
+    _routes: dict = field(default_factory=dict, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -150,8 +156,9 @@ class NetworkGraph:
             raise DuplicateLinkError(f"fiber {a}-{b} already present")
         link = FiberLink((a, b), float(length), [None] * self.slot_count)
         self.fiber_links[key] = link
-        self._adjacency.setdefault(a, []).append(b)
-        self._adjacency.setdefault(b, []).append(a)
+        self._adjacency.setdefault(a, []).append((b, link))
+        self._adjacency.setdefault(b, []).append((a, link))
+        self._routes.clear()
         return link
 
     # -- queries -----------------------------------------------------------
@@ -161,9 +168,6 @@ class NetworkGraph:
 
     def link_between(self, a: NodeId, b: NodeId) -> Optional[FiberLink]:
         return self.fiber_links.get(link_key(a, b))
-
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        return self._adjacency.get(node, [])
 
     def path_links(self, path: Iterable[NodeId]) -> list[FiberLink]:
         """Fiber links traversed by consecutive nodes of ``path``.
@@ -200,6 +204,7 @@ class NetworkGraph:
             state = "up" if up else "down"
             raise LinkStateError(f"fiber {a}-{b} already {state}")
         link.operational = up
+        self._routes.clear()
         return link
 
     # -- booking -----------------------------------------------------------
@@ -257,8 +262,10 @@ class NetworkGraph:
                     raise BookingConflictError(f"slot {slot} on {link.key} held by "
                                                f"{link.slot_grid[slot - 1]}, not {current}")
         width = end - start + 1
+        mask = ((1 << width) - 1) << (start - 1)
         for link in links:
             link.slot_grid[start - 1:end] = [holder] * width
+            link.busy = link.busy | mask if holder is not None else link.busy & ~mask
         self.reserved_cells += width * len(links) * (1 if holder is not None else -1)
 
     # -- routing -----------------------------------------------------------
@@ -275,7 +282,8 @@ class NetworkGraph:
         Paths are ordered by ascending length with ties broken
         lexicographically on the node sequence, so results are deterministic.
         Non-operational links and ``exclude_links`` are never traversed.
-        Returns an empty list when src and dst are disconnected.
+        Returns an empty list when src and dst are disconnected.  Answers
+        are memoized until the topology changes; each call gets fresh lists.
         """
         if src == dst:
             raise ValueError("k_shortest_paths requires src != dst")
@@ -285,7 +293,18 @@ class NetworkGraph:
         if k < 1:
             return []
 
-        banned = set(exclude_links)
+        banned = frozenset(exclude_links)
+        memo_key = (src, dst, k, banned)
+        memo = self._routes.get(memo_key)
+        if memo is None:
+            paths = self._yen(src, dst, k, banned)
+            if not paths:
+                return []
+            memo = self._routes[memo_key] = tuple(tuple(path) for path in paths)
+        return [list(path) for path in memo]
+
+    def _yen(self, src, dst, k, banned):
+        """Yen's k shortest loop-free paths avoiding the ``banned`` links."""
         first = self._shortest_path(src, dst, banned, frozenset())
         if first is None:
             return []
@@ -296,10 +315,11 @@ class NetworkGraph:
 
         while len(accepted) < k:
             prev = accepted[-1][1]
-            for i in range(len(prev) - 1):
-                spur = prev[i]
+            root_len = 0  # path_length(root), carried one link at a time
+            for i, spur in enumerate(prev[:-1]):
+                if i:
+                    root_len += self.link_between(prev[i - 1], spur).length
                 root = prev[: i + 1]
-                root_len = self.path_length(root)
                 # Edges that would recreate an already-accepted path sharing
                 # this root are banned for the spur search.
                 spur_banned = set(banned)
@@ -315,9 +335,7 @@ class NetworkGraph:
                 if key in seen:
                     continue
                 seen.add(key)
-                heapq.heappush(
-                    candidates, (root_len + spur_path[0], tuple(total), total)
-                )
+                heapq.heappush(candidates, (root_len + spur_path[0], key, total))
             if not candidates:
                 break
             _, _, path = heapq.heappop(candidates)
@@ -339,11 +357,10 @@ class NetworkGraph:
             if node in settled:
                 continue
             settled.add(node)
-            for neighbor in self.neighbors(node):
+            for neighbor, link in self._adjacency.get(node, ()):
                 if neighbor in settled or neighbor in banned_nodes:
                     continue
-                link = self.fiber_links[link_key(node, neighbor)]
-                if not link.operational or link.key in banned_links:
+                if not link.operational or (banned_links and link.key in banned_links):
                     continue
                 heapq.heappush(heap, (dist + link.length, path + (neighbor,)))
         return None

@@ -28,7 +28,7 @@ from .compilation import (
     compile_probe,
     install_intent,
 )
-from .errors import InvalidConfigError, LinkStateError, UnknownLinkError
+from .errors import ConservationError, InvalidConfigError, LinkStateError, UnknownLinkError
 from .intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent, RemoteIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId, link_key
@@ -92,7 +92,7 @@ class Metrics:
 
     def finalize(self) -> None:
         if self.offered != self.blocked + self.installed_ok:
-            raise AssertionError(
+            raise ConservationError(
                 f"conservation violated: offered={self.offered} "
                 f"blocked={self.blocked} installed={self.installed_ok}"
             )

@@ -108,7 +108,8 @@ def audit_resources(domains):
 
     Every held slot, port and add/drop termination must be claimed by an
     installed or failed leaf of the domain's DAG, and every such leaf must
-    hold what it claims.  Returns a list of violation strings; empty means
+    hold what it claims.  Each fiber's ``busy`` mask must index exactly the
+    held cells of its slot grid.  Returns a list of violation strings; empty means
     every no-overbooking, contiguity, continuity, and reach invariant holds.
     """
     from ibnsim.intents import IntentState, LightpathIntent, RouterPortIntent
@@ -133,9 +134,14 @@ def audit_resources(domains):
                     claimed_ends.setdefault(end_node, set()).add(iid)
         grid_cells = {}
         for key, link in graph.fiber_links.items():
+            held_mask = 0
             for slot, holder in enumerate(link.slot_grid, start=1):
                 if holder is not None:
                     grid_cells[(key, slot)] = holder
+                    held_mask |= 1 << (slot - 1)
+            if link.busy != held_mask:
+                problems.append(f"domain {did}: busy mask and slot grid disagree on "
+                                f"{key[0]}-{key[1]}")
         if grid_cells != claimed_cells:
             problems.append(f"domain {did}: slot grids and DAG lightpaths disagree")
         if graph.reserved_cells != len(grid_cells):

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from ibnsim.cli import main
+from ibnsim.simulation import Simulation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -86,3 +87,17 @@ def test_link_event_on_unknown_fiber_exits_2(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.count("unknown fiber 1.1-1.9") == 2
+
+
+def test_conservation_violation_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    handle_arrival = Simulation._handle_arrival
+
+    def uncounted_arrival(self, event):
+        handle_arrival(self, event)
+        self.metrics.offered -= 1
+
+    monkeypatch.setattr(Simulation, "_handle_arrival", uncounted_arrival)
+    assert main(["run", str(SCENARIOS / "single_link.json"), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["ibnsim: conservation violated: offered=0 blocked=1 installed=2"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibnsim.compilation import (
     BlockReason,
@@ -69,6 +71,35 @@ class TestFirstFitSpectrum:
         chain(ctrl, [10.0])
         reserve(ctrl, NodeId(1, 1), NodeId(1, 2), range(1, 9))
         assert first_fit_spectrum(ctrl.graph, [NodeId(1, 1), NodeId(1, 2)], 1) is None
+
+
+HOLDERS = ("h0", "h1", "h2", "h3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_fit_matches_brute_force(data):
+    # Grids up to 330 slots cover the 320-slot mesh and masks wider than
+    # 64 bits; a width of slot_count + 1 never fits.
+    slot_count = data.draw(st.integers(min_value=1, max_value=330), label="slot_count")
+    hops = data.draw(st.integers(min_value=1, max_value=3), label="hops")
+    ctrl = make_domain(nodes=hops + 1, slot_count=slot_count)
+    chain(ctrl, [10.0] * hops)
+    graph = ctrl.graph
+    slots = st.integers(min_value=1, max_value=slot_count)
+    for link in graph.fiber_links.values():
+        runs = data.draw(st.lists(st.tuples(slots, slots, st.sampled_from(HOLDERS)),
+                                  max_size=8), label="runs")
+        for first, last, holder in runs:
+            for slot in range(min(first, last), max(first, last) + 1):
+                if link.holder(slot) is None:
+                    graph.reserve_spectrum(link, slot, slot, holder)
+    width = data.draw(st.integers(min_value=1, max_value=slot_count + 1), label="width")
+    as_free = data.draw(st.sets(st.sampled_from(HOLDERS)), label="as_free")
+    path = [NodeId(1, i) for i in range(1, hops + 2)]
+    assert first_fit_spectrum(graph, path, width, as_free) == brute_first_fit(
+        graph, path, width, treat_free=as_free
+    )
 
 
 class TestCompileConnectivity:

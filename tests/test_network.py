@@ -131,6 +131,14 @@ class TestKShortestPaths:
         g, a, b, c = triangle()
         assert g.k_shortest_paths(a, c, 2, exclude_links=[link_key(a, b)]) == [[a, c]]
 
+    def test_mutating_an_answer_leaves_the_next_one(self):
+        g, a, b, c = triangle()
+        answer = g.k_shortest_paths(a, c, 2)
+        answer[0].reverse()
+        answer[1].append(b)
+        answer.pop()
+        assert g.k_shortest_paths(a, c, 2) == [[a, b, c], [a, c]]
+
     def test_src_equals_dst_rejected(self):
         g, a, b, c = triangle()
         with pytest.raises(ValueError):
@@ -223,3 +231,48 @@ def test_free_slots_shrink_along_prefixes(graph_nodes, data):
     full = g.free_slot_blocks(path)
     for cut in range(2, len(path) + 1):
         assert full <= g.free_slot_blocks(path[:cut])
+
+
+def cold_copy(graph):
+    """A new graph with the same nodes, fibers and operational flags."""
+    cold = NetworkGraph(slot_count=graph.slot_count)
+    for node in graph.routers:
+        add_node(cold, node.local, node.domain)
+    for link in graph.fiber_links.values():
+        cold.add_fiber_link(*link.endpoints, link.length)
+        if not link.operational:
+            cold.set_link_operational(*link.endpoints, False)
+    return cold
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(), st.data())
+def test_route_memo_answers_like_a_cold_graph(graph_nodes, data):
+    # A few queries asked again after every link flip, and after one fiber
+    # added late, must see the topology of that moment, not a memoized one.
+    g, nodes = graph_nodes
+    keys = list(g.fiber_links)
+    query = st.tuples(
+        st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True),
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.sampled_from(keys), max_size=2) if keys else st.just([]),
+    )
+    queries = data.draw(st.lists(query, min_size=1, max_size=3), label="queries")
+    missing = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+               if g.link_between(a, b) is None]
+    late = data.draw(st.integers(min_value=0, max_value=5), label="late step")
+    for step in range(6):
+        went_down = False
+        if step == late and missing:
+            a, b = data.draw(st.sampled_from(missing), label="late fiber")
+            g.add_fiber_link(a, b, 1.0)
+        elif keys:
+            link = g.fiber_links[data.draw(st.sampled_from(keys), label="flip")]
+            g.set_link_operational(*link.endpoints, not link.operational)
+            went_down = not link.operational
+        cold = cold_copy(g)
+        for (src, dst), k, exclude in queries:
+            answer = g.k_shortest_paths(src, dst, k, exclude_links=exclude)
+            assert answer == cold.k_shortest_paths(src, dst, k, exclude_links=exclude)
+            if went_down:
+                assert answer == ranked_paths(g, src, dst, k, exclude)

@@ -178,8 +178,9 @@ class TestRun:
         [("slot", ["slot grids and DAG lightpaths disagree"]),
          ("port", ["port holders and DAG disagree at 1.3"]),
          ("add-drop", [f"add/drop holders and DAG disagree at 1.{i}" for i in (2, 3)]),
-         ("cell-count", ["reserved_cells is not the held cell count"])],
-        ids=["slot", "port", "add-drop", "cell-count"],
+         ("cell-count", ["reserved_cells is not the held cell count"]),
+         ("busy-mask", ["busy mask and slot grid disagree on 1.2-1.3"])],
+        ids=["slot", "port", "add-drop", "cell-count", "busy-mask"],
     )
     def test_audit_reports_orphan_booking(self, orphan, problems):
         # A booking no DAG leaf claims: the grid and the holders still agree
@@ -195,8 +196,10 @@ class TestRun:
         elif orphan == "add-drop":
             graph.reserve_lightpath((b, c), (8, 8), "orphan")
             graph.release_spectrum(graph.link_between(b, c), 8, 8, "orphan")
-        else:
+        elif orphan == "cell-count":
             graph.reserved_cells += 1
+        else:
+            graph.link_between(b, c).busy ^= 1 << 7
         assert audit_resources({1: ctrl}) == [f"domain 1: {p}" for p in problems]
 
     @pytest.mark.parametrize(
