@@ -46,7 +46,7 @@ def trace(policy):
 
     def watch(sim, event):
         ctrl = sim.domains[1]
-        roots = [i for i in ctrl.dag.nodes if not ctrl.dag.parents(i)]
+        roots = ctrl.dag.roots()
         if not roots:
             return
         root = roots[0]

@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .errors import IbnError, ScenarioError
 from .export import dot_from_document, write_run_artifacts
@@ -101,11 +102,43 @@ def _cmd_validate(args) -> int:
 
 def _read_state(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        state = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from None
+    problem = _state_problem(state)
+    if problem is not None:
+        raise ScenarioError(f"{path}: {problem}")
+    return state
+
+
+def _state_problem(state) -> Optional[str]:
+    """How ``state`` departs from the shape ``run`` writes, or None."""
+    if not isinstance(state, dict):
+        return "state must be a JSON object"
+    if not isinstance(state.get("topology", {}), dict):
+        return "topology must be an object"
+    dags = state.get("dags", {})
+    if not isinstance(dags, dict):
+        return "dags must be an object keyed by domain id"
+    for did, doc in dags.items():
+        if not (did.isascii() and did.isdigit()):
+            return f"dags key {did!r} is not a domain id"
+        if not isinstance(doc, dict):
+            return f"dags.{did} must be an object"
+        nodes, edges = doc.get("nodes"), doc.get("edges")
+        if not isinstance(nodes, list) or not all(
+            isinstance(n, dict) and all(isinstance(n.get(k), str) for k in ("id", "kind", "state"))
+            for n in nodes
+        ):
+            return f"dags.{did}.nodes must be a list of objects with string id, kind and state"
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+            for e in edges
+        ):
+            return f"dags.{did}.edges must be a list of [parent, child] id pairs"
+    return None
 
 
 def _cmd_export_dag(args) -> int:

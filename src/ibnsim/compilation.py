@@ -151,7 +151,6 @@ def _compile_intra(domain, iid, payload: ConnectivityIntent) -> CompilationResul
     )
     for child in children:
         dag.transition(child, IntentState.COMPILED)
-    dag.transition(iid, IntentState.COMPILED)
     return CompilationResult(CompileOutcome.COMPILED, children)
 
 
@@ -269,7 +268,8 @@ def uninstall_intent(domain, iid) -> None:
 
 
 def teardown_implementation(domain, iid) -> None:
-    """Drop an intent's children and return it to uncompiled.
+    """Drop an intent's children, which leaves it uncompiled: its stored
+    state is never written while it has children.
 
     Releases reservations first when needed.  Refuses intents with remote
     parts: delegated implementations are torn down by the controller, which
@@ -282,5 +282,3 @@ def teardown_implementation(domain, iid) -> None:
         uninstall_intent(domain, iid)
     for child in dag.children(iid):
         dag.remove_intent(child)
-    if dag.state(iid) is IntentState.COMPILED:
-        dag.transition(iid, IntentState.UNCOMPILED)

@@ -45,10 +45,6 @@ class IllegalTransitionError(IbnError):
     """Requested lifecycle edge is outside the allowed transition set."""
 
 
-class CycleError(IbnError):
-    pass
-
-
 class StillInstalledError(IbnError):
     """Attempt to remove an intent that still holds installed resources."""
 

@@ -107,9 +107,7 @@ def export_topology(domains: dict) -> dict:
             {"id": did, "nodes": nodes, "fiber_links": links, "virtual_links": virtual}
         )
 
-        for iid in sorted(ctrl.dag.nodes):
-            if ctrl.dag.parents(iid):
-                continue
+        for iid in sorted(ctrl.dag.roots()):
             if ctrl.dag.aggregate_state(iid) is not IntentState.INSTALLED:
                 continue
             overlays = []

@@ -2,8 +2,9 @@
 
 High-level intents (connectivity) are linked to the low-level intents that
 allocate resources for them (router ports, lightpaths, remote delegations)
-through a directed acyclic graph.  A node's effective state is derived from
-its descendants by ``aggregate_state``.
+through a tree: every intent has at most one parent.  Only a leaf's stored
+state is read; a node's effective state is derived from the leaves below
+it by ``aggregate_state``.
 """
 
 import enum
@@ -11,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import (
-    CycleError,
     IllegalTransitionError,
     InvalidPayloadError,
     StillInstalledError,
@@ -26,18 +26,15 @@ class IntentState(enum.Enum):
     INSTALLED = "installed"
     FAILED = "failed"
 
-    @property
-    def rank(self) -> int:
-        """Progress order used by aggregation; FAILED is handled separately."""
-        return _STATE_RANK[self]
 
-
-_STATE_RANK = {
-    IntentState.UNCOMPILED: 0,
-    IntentState.COMPILED: 1,
-    IntentState.INSTALLED: 2,
-    IntentState.FAILED: 3,
-}
+# Aggregation: the first of these that some child reports wins, so failure
+# dominates, then the least progress under uncompiled < compiled < installed.
+_AGGREGATE_ORDER = (
+    IntentState.FAILED,
+    IntentState.UNCOMPILED,
+    IntentState.COMPILED,
+    IntentState.INSTALLED,
+)
 
 # Legal lifecycle edges.  Uninstall (installed -> compiled) and recovery
 # (failed -> compiled) are permitted so monitoring can recompile intents.
@@ -157,140 +154,94 @@ _KIND_NAMES = {
 
 @dataclass
 class IntentNode:
+    """One intent.  ``state`` is read only while ``children`` is empty; a
+    node with children has its state derived by ``aggregate_state``."""
+
     payload: object
     state: IntentState = IntentState.UNCOMPILED
+    parent: Optional[IntentId] = None
+    children: list = field(default_factory=list)  # list[IntentId]
 
 
 @dataclass
 class IntentDAG:
-    """Acyclic store of intent nodes owned by one domain.
+    """Tree store of intent nodes owned by one domain.
 
     Identifiers are (domain, counter) pairs and are never reused within one
     DAG.  Parent -> child edges connect logical intents to the low-level
-    intents implementing them.
+    intents implementing them; every intent has at most one parent.
     """
 
     domain: int = 0
     nodes: dict = field(default_factory=dict)  # IntentId -> IntentNode
-    _children: dict = field(default_factory=dict)  # IntentId -> list[IntentId]
-    _parents: dict = field(default_factory=dict)  # IntentId -> list[IntentId]
     _counter: int = 0
 
     # -- structure ---------------------------------------------------------
+
+    def _node(self, iid: IntentId) -> IntentNode:
+        node = self.nodes.get(iid)
+        if node is None:
+            raise UnknownIntentError(f"unknown intent {iid}")
+        return node
 
     def add_intent(self, payload) -> IntentId:
         payload.validate()
         self._counter += 1
         iid = IntentId(self.domain, self._counter)
         self.nodes[iid] = IntentNode(payload)
-        self._children[iid] = []
-        self._parents[iid] = []
         return iid
 
     def add_child(self, parent: IntentId, payload) -> IntentId:
-        if parent not in self.nodes:
-            raise UnknownIntentError(f"unknown parent intent {parent}")
+        siblings = self._node(parent).children
         child = self.add_intent(payload)
-        self._children[parent].append(child)
-        self._parents[child].append(parent)
+        self.nodes[child].parent = parent
+        siblings.append(child)
         return child
 
-    def link_nodes(self, parent: IntentId, child: IntentId) -> None:
-        """Add an edge between existing nodes, rejecting cycles."""
-        for iid in (parent, child):
-            if iid not in self.nodes:
-                raise UnknownIntentError(f"unknown intent {iid}")
-        if parent == child or self._reachable(child, parent):
-            raise CycleError(f"edge {parent}->{child} would create a cycle")
-        if child not in self._children[parent]:
-            self._children[parent].append(child)
-            self._parents[child].append(parent)
-
-    def _reachable(self, start: IntentId, target: IntentId) -> bool:
-        stack = [start]
-        visited = set()
-        while stack:
-            node = stack.pop()
-            if node == target:
-                return True
-            if node in visited:
-                continue
-            visited.add(node)
-            stack.extend(self._children[node])
-        return False
-
     def children(self, iid: IntentId) -> list:
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        return list(self._children[iid])
+        return list(self._node(iid).children)
 
-    def parents(self, iid: IntentId) -> list:
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        return list(self._parents[iid])
+    def parent(self, iid: IntentId) -> Optional[IntentId]:
+        return self._node(iid).parent
 
     def roots(self) -> list:
-        return [iid for iid in self.nodes if not self._parents[iid]]
+        return [iid for iid, node in self.nodes.items() if node.parent is None]
 
-    def descendants(self, iid: IntentId) -> set:
-        """All intents reachable below ``iid``, excluding ``iid`` itself."""
-        out = set()
-        stack = list(self._children.get(iid, ()))
-        while stack:
-            node = stack.pop()
-            if node in out:
-                continue
-            out.add(node)
-            stack.extend(self._children[node])
-        return out
+    def lineage(self, iid: IntentId) -> list:
+        """``iid``, its parent, and so on up to its root."""
+        chain = [iid]
+        parent = self._node(iid).parent
+        while parent is not None:
+            chain.append(parent)
+            parent = self.nodes[parent].parent
+        return chain
 
-    def ancestors(self, iid: IntentId) -> set:
-        out = set()
-        stack = list(self._parents.get(iid, ()))
-        while stack:
-            node = stack.pop()
-            if node in out:
-                continue
-            out.add(node)
-            stack.extend(self._parents[node])
+    def subtree(self, iid: IntentId) -> list:
+        """``iid`` and every intent below it, parents before children."""
+        out = [iid]
+        for node in out:
+            out.extend(self._node(node).children)
         return out
 
     def leaves_under(self, iid: IntentId) -> list:
-        """Leaf intents of the subtree rooted at ``iid`` (may be iid itself)."""
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        out = []
-        seen = set()
-        stack = [iid]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            kids = self._children[node]
-            if kids:
-                stack.extend(reversed(kids))
-            else:
-                out.append(node)
-        return out
+        """Leaf intents of the subtree rooted at ``iid`` (may be iid itself),
+        left to right."""
+        kids = self._node(iid).children
+        if not kids:
+            return [iid]
+        return [leaf for kid in kids for leaf in self.leaves_under(kid)]
 
     # -- lifecycle ---------------------------------------------------------
 
     def state(self, iid: IntentId) -> IntentState:
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        return self.nodes[iid].state
+        return self._node(iid).state
 
     def payload(self, iid: IntentId):
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        return self.nodes[iid].payload
+        return self._node(iid).payload
 
     def transition(self, iid: IntentId, to: IntentState) -> IntentState:
         """Move ``iid`` along a legal lifecycle edge and return the new state."""
-        node = self.nodes.get(iid)
-        if node is None:
-            raise UnknownIntentError(f"unknown intent {iid}")
+        node = self._node(iid)
         if (node.state, to) not in ALLOWED_TRANSITIONS:
             raise IllegalTransitionError(
                 f"illegal transition {node.state.value} -> {to.value} for {iid}"
@@ -305,48 +256,20 @@ class IntentDAG:
         soon as any descendant leaf is failed, otherwise the minimum of its
         children's aggregate states under uncompiled < compiled < installed.
         """
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        memo: dict = {}
-        return self._aggregate(iid, memo)
+        return self._aggregate(self._node(iid))
 
-    def _aggregate(self, iid, memo):
-        cached = memo.get(iid)
-        if cached is not None:
-            return cached
-        kids = self._children[iid]
-        if not kids:
-            result = self.nodes[iid].state
-        else:
-            states = [self._aggregate(kid, memo) for kid in kids]
-            if IntentState.FAILED in states:
-                result = IntentState.FAILED
-            else:
-                result = min(states, key=lambda s: s.rank)
-        memo[iid] = result
-        return result
+    def _aggregate(self, node: IntentNode) -> IntentState:
+        if not node.children:
+            return node.state
+        states = [self._aggregate(self.nodes[kid]) for kid in node.children]
+        for state in _AGGREGATE_ORDER:
+            if state in states:
+                return state
 
     # -- removal -----------------------------------------------------------
 
-    def removal_set(self, iid: IntentId) -> set:
-        """``iid`` plus every descendant reachable only through it."""
-        if iid not in self.nodes:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        removal = {iid}
-        # Orphans: peel descendants whose every parent is already doomed.
-        changed = True
-        while changed:
-            changed = False
-            for node in self.descendants(iid):
-                if node in removal:
-                    continue
-                if all(p in removal for p in self._parents[node]):
-                    removal.add(node)
-                    changed = True
-        return removal
-
     def remove_intent(self, iid: IntentId) -> set:
-        """Remove ``iid`` and every descendant reachable only through it.
+        """Remove ``iid`` and its whole subtree.
 
         Refuses while the subtree is installed or failed; returns the set of
         removed identifiers.
@@ -356,16 +279,10 @@ class IntentDAG:
             raise StillInstalledError(
                 f"intent {iid} is {agg.value}; uninstall before removing"
             )
-        removal = self.removal_set(iid)
-        for node in removal:
-            for parent in self._parents[node]:
-                if parent not in removal:
-                    self._children[parent].remove(node)
-            for child in self._children[node]:
-                if child not in removal:
-                    self._parents[child].remove(node)
-        for node in removal:
+        removed = self.subtree(iid)
+        parent = self.nodes[iid].parent
+        if parent is not None:
+            self.nodes[parent].children.remove(iid)
+        for node in removed:
             del self.nodes[node]
-            del self._children[node]
-            del self._parents[node]
-        return removal
+        return set(removed)

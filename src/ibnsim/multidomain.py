@@ -206,7 +206,7 @@ class DomainController:
 
     def remove(self, iid: IntentId) -> None:
         """Remove an intent subtree, withdrawing any delegated parts."""
-        doomed = self.dag.removal_set(iid)
+        doomed = self.dag.subtree(iid)
         for node in sorted(doomed):
             payload = self.dag.payload(node)
             if isinstance(payload, RemoteIntent) and payload.remote_id is not None:
@@ -227,7 +227,7 @@ class DomainController:
         else:
             if touched not in self.dag.nodes:
                 return
-            candidates = ({touched} | self.dag.ancestors(touched)) & set(self.origins)
+            candidates = [n for n in self.dag.lineage(touched) if n in self.origins]
         for iid in sorted(candidates):
             state = self.dag.aggregate_state(iid)
             if self.last_notified.get(iid) != state:
@@ -470,14 +470,6 @@ def _handle_state_notify(domain, msg):
     if domain.dag.state(node) is not body.state:
         domain.dag.transition(node, body.state)
 
-    # Sync the delegating parent's stored state once its aggregate compiles.
-    for parent in domain.dag.parents(node):
-        if (
-            domain.dag.state(parent) is IntentState.UNCOMPILED
-            and domain.dag.aggregate_state(parent) is IntentState.COMPILED
-        ):
-            domain.dag.transition(parent, IntentState.COMPILED)
-
     if node in domain.pending_installs:
         domain.pending_installs.discard(node)
         if body.state is not IntentState.INSTALLED:
@@ -488,13 +480,12 @@ def _handle_state_notify(domain, msg):
 
 def _compensate_failed_install(domain, mirror_node):
     """A remote install failed: roll back this delegation level locally."""
-    dag = domain.dag
-    for parent in dag.parents(mirror_node):
-        _release_children(domain, parent, skip=mirror_node)
-        # Send the definitive verdict upstream even though the aggregate is
-        # back to its pre-install value.
-        if parent in domain.origins:
-            _reply_state(domain, domain.origins[parent], parent)
+    parent = domain.dag.parent(mirror_node)
+    _release_children(domain, parent, skip=mirror_node)
+    # Send the definitive verdict upstream even though the aggregate is
+    # back to its pre-install value.
+    if parent in domain.origins:
+        _reply_state(domain, domain.origins[parent], parent)
 
 
 def _handle_install_request(domain, msg):

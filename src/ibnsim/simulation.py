@@ -29,9 +29,9 @@ from .compilation import (
     install_intent,
 )
 from .errors import ConservationError, InvalidConfigError, LinkStateError, UnknownLinkError
-from .intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent, RemoteIntent
+from .intents import ConnectivityIntent, IntentId, IntentState, RemoteIntent
 from .multidomain import DomainController, deliver_messages
-from .network import NodeId, link_key
+from .network import NodeId
 
 log = logging.getLogger(__name__)
 
@@ -183,27 +183,26 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
     """React to a fiber going down.
 
     Marks the link non-operational in every domain that knows it, fails the
-    installed lightpaths riding it (reservations persist: failure is not a
-    release), and under the auto-recompile policy tries to move each affected
-    intent onto surviving resources.  Returns the number of recovered intents.
+    installed lightpaths holding its slots (reservations persist: failure is
+    not a release), and under the auto-recompile policy tries to move each
+    affected intent onto surviving resources.  Returns the number of recovered
+    intents.
     """
     _set_link_state(domains, a, b, up=False)
-    key = link_key(a, b)
 
     affected = []
     for did in sorted(domains):
         ctrl = domains[did]
-        for iid in list(ctrl.dag.nodes):
-            payload = ctrl.dag.payload(iid)
-            if not isinstance(payload, LightpathIntent):
-                continue
+        link = ctrl.graph.link_between(a, b)
+        holders = {h for h in link.slot_grid if h is not None} if link else ()
+        # Ids are never reused, so sorted ids follow DAG insertion order.
+        for iid in sorted(holders):
             if ctrl.dag.state(iid) is not IntentState.INSTALLED:
                 continue
-            if _traverses(payload.path, key):
-                ctrl.dag.transition(iid, IntentState.FAILED)
-                root = _top_ancestor(ctrl.dag, iid)
-                if (did, root) not in affected:
-                    affected.append((did, root))
+            ctrl.dag.transition(iid, IntentState.FAILED)
+            root = ctrl.dag.lineage(iid)[-1]
+            if (did, root) not in affected:
+                affected.append((did, root))
         ctrl.flush_notifications()
 
     recovered = 0
@@ -223,9 +222,8 @@ def monitor_repair(domains: dict, a: NodeId, b: NodeId,
             ctrl = domains[did]
             failed_roots = [
                 iid
-                for iid in list(ctrl.dag.nodes)
-                if not ctrl.dag.parents(iid)
-                and ctrl.dag.aggregate_state(iid) is IntentState.FAILED
+                for iid in ctrl.dag.roots()
+                if ctrl.dag.aggregate_state(iid) is IntentState.FAILED
             ]
             for root in failed_roots:
                 recovered += _attempt_recovery(ctrl, root)
@@ -245,19 +243,6 @@ def _set_link_state(domains, a, b, up: bool) -> None:
         raise LinkStateError(f"fiber {a}-{b} already {state}")
     for d in changeable:
         domains[d].graph.set_link_operational(a, b, up)
-
-
-def _traverses(path, key) -> bool:
-    return any(link_key(u, v) == key for u, v in zip(path, path[1:]))
-
-
-def _top_ancestor(dag, iid):
-    node = iid
-    while True:
-        parents = dag.parents(node)
-        if not parents:
-            return node
-        node = parents[0]
 
 
 def _attempt_recovery(ctrl: DomainController, root) -> int:
@@ -345,7 +330,8 @@ class Simulation:
         registries = [d.registry for d in self.domains.values()]
         self._registry = registries[0] if registries else {}
         # Border fibers live in two graphs; count capacity once, at the
-        # administering (lower-id) side.
+        # lower domain id.  Cross-domain lightpaths end at the border node,
+        # so only a path through a foreign stub books a border fiber.
         self._total_cells = 0
         for ctrl in self.domains.values():
             for key in ctrl.graph.fiber_links:

@@ -212,3 +212,30 @@ def oracle_compile(graph, mode_table, src, dst, rate, k, exclude=(), treat_free=
                 best = (path, mode, block)
                 best_key = key
     return best
+
+
+def brute_aggregate(parent_of, stored, iid):
+    """Effective state of ``iid`` from a plain parent map, leaf by leaf.
+
+    ``parent_of`` maps every intent id to its parent id (None for a root)
+    and ``stored`` maps it to its stored state.  The leaves below ``iid``
+    are the ids no one names as parent whose chain of parents reaches
+    ``iid``.  FAILED if any of them is failed, else the least of their
+    states under uncompiled < compiled < installed.
+    """
+    from ibnsim.intents import IntentState
+
+    progress = [IntentState.UNCOMPILED, IntentState.COMPILED, IntentState.INSTALLED]
+    named = set(parent_of.values())
+    states = []
+    for leaf in parent_of:
+        if leaf in named:
+            continue
+        node = leaf
+        while node is not None and node != iid:
+            node = parent_of[node]
+        if node == iid:
+            states.append(stored[leaf])
+    if IntentState.FAILED in states:
+        return IntentState.FAILED
+    return min(states, key=progress.index)

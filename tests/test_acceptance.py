@@ -294,7 +294,7 @@ def run_triangle(policy):
     def watch(sim, event):
         if event.kind.value == "link_down":
             ctrl = sim.domains[1]
-            root = next(i for i in ctrl.dag.nodes if not ctrl.dag.parents(i))
+            root = ctrl.dag.roots()[0]
             seen["state"] = ctrl.dag.aggregate_state(root)
             seen["paths"] = [
                 ctrl.dag.payload(c).path
@@ -370,10 +370,9 @@ def test_criterion_7_conservation():
     )
     leftovers_ok = True
     for ctrl in result.domains.values():
-        for iid in ctrl.dag.nodes:
-            if not ctrl.dag.parents(iid):
-                if ctrl.dag.aggregate_state(iid) is not IntentState.UNCOMPILED:
-                    leftovers_ok = False
+        for iid in ctrl.dag.roots():
+            if ctrl.dag.aggregate_state(iid) is not IntentState.UNCOMPILED:
+                leftovers_ok = False
     report(
         7,
         "end-of-run conservation and clean ledgers",

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ibnsim.cli import main
 from ibnsim.simulation import Simulation
 
@@ -101,3 +103,19 @@ def test_conservation_violation_exits_3_without_traceback(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == ["ibnsim: conservation violated: offered=0 blocked=1 installed=2"]
+
+
+@pytest.mark.parametrize("command", ["export-dag", "export-topology"])
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"dags": {"1": {"nodes": 3}}}, {"dags": [1]}],
+    ids=["not-an-object", "nodes-not-a-list", "dags-not-an-object"],
+)
+def test_malformed_state_exits_2_with_one_line(tmp_path, capsys, command, doc):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    assert main([command, str(state), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"ibnsim: {state}: ")
+    assert not (tmp_path / "out").exists()
