@@ -8,6 +8,7 @@ inclusive pair (start, end).
 """
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -130,10 +131,13 @@ class NetworkGraph:
     oxcs: dict = field(default_factory=dict)  # NodeId -> OxcView
     fiber_links: dict = field(default_factory=dict)  # LinkKey -> FiberLink
     reserved_cells: int = 0  # held (fiber, slot) cells, kept by reserve/release
-    _adjacency: dict = field(default_factory=dict, repr=False)  # node -> [(neighbor, FiberLink)]
-    # (src, dst, k, frozenset of excluded links) -> tuple of path tuples;
-    # cleared whenever a fiber is added or changes operational state.
+    # node -> [(neighbor, FiberLink, LinkKey)]
+    _adjacency: dict = field(default_factory=dict, repr=False)
+    # (src, dst, k, frozenset of excluded links) -> tuple of path tuples, and
+    # dst -> the A* heuristic of ``_distances``; both are cleared whenever a
+    # fiber is added or changes operational state.
     _routes: dict = field(default_factory=dict, repr=False)
+    _dists: dict = field(default_factory=dict, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -156,9 +160,10 @@ class NetworkGraph:
             raise DuplicateLinkError(f"fiber {a}-{b} already present")
         link = FiberLink((a, b), float(length), [None] * self.slot_count)
         self.fiber_links[key] = link
-        self._adjacency.setdefault(a, []).append((b, link))
-        self._adjacency.setdefault(b, []).append((a, link))
+        self._adjacency.setdefault(a, []).append((b, link, key))
+        self._adjacency.setdefault(b, []).append((a, link, key))
         self._routes.clear()
+        self._dists.clear()
         return link
 
     # -- queries -----------------------------------------------------------
@@ -205,6 +210,7 @@ class NetworkGraph:
             raise LinkStateError(f"fiber {a}-{b} already {state}")
         link.operational = up
         self._routes.clear()
+        self._dists.clear()
         return link
 
     # -- booking -----------------------------------------------------------
@@ -305,7 +311,8 @@ class NetworkGraph:
 
     def _yen(self, src, dst, k, banned):
         """Yen's k shortest loop-free paths avoiding the ``banned`` links."""
-        first = self._shortest_path(src, dst, banned, frozenset())
+        h = self._distances(dst)
+        first = self._shortest_path(src, dst, banned, frozenset(), h)
         if first is None:
             return []
 
@@ -327,7 +334,7 @@ class NetworkGraph:
                     if p[: i + 1] == root:
                         spur_banned.add(link_key(p[i], p[i + 1]))
                 blocked_nodes = frozenset(root[:-1])
-                spur_path = self._shortest_path(spur, dst, spur_banned, blocked_nodes)
+                spur_path = self._shortest_path(spur, dst, spur_banned, blocked_nodes, h)
                 if spur_path is None:
                     continue
                 total = root[:-1] + spur_path[1]
@@ -345,22 +352,67 @@ class NetworkGraph:
         accepted.sort(key=lambda entry: (entry[0], tuple(entry[1])))
         return [path for _, path in accepted]
 
-    def _shortest_path(self, src, dst, banned_links, banned_nodes):
-        """Dijkstra returning (length, path) minimal by (length, node seq)."""
-        heap = [(0.0, (src,))]
+    def _distances(self, dst):
+        """A* heuristic towards ``dst``: node -> lower bound on its km to dst,
+        for every node that reaches dst over operational fibers.  Spur
+        searches only ban more links and nodes, so one tree serves them all."""
+        dists = self._dists.get(dst)
+        if dists is not None:
+            return dists
+        dists = {}
+        span, shortest = 0.0, math.inf
+        heap = [(0.0, dst)]
+        while heap:
+            dist, node = heapq.heappop(heap)
+            if node in dists:
+                continue
+            dists[node] = dist
+            for neighbor, link, _ in self._adjacency.get(node, ()):
+                if link.operational:
+                    span += link.length
+                    shortest = min(shortest, link.length)
+                    if neighbor not in dists:
+                        heapq.heappush(heap, (dist + link.length, neighbor))
+        # With the exact distances h, rounding can reorder a tie: in f = g + h,
+        # 0.1 + 1.1 is 1.2000000000000002 while 0.2 + 1.0 is 1.2, so the path
+        # Dijkstra settles first can pop second.  Shrunk by c = 1 - 2**-20, h
+        # still satisfies c * h(u) <= c * (w + h(v)) on a fiber u-v of length w,
+        # so f = g + c * h grows by at least 2**-20 * w when a path is
+        # extended by v.  Six roundings can eat into that margin: h(u) as a
+        # tree sum, c * h on both sides, g + w, and g + c * h on both sides,
+        # each by at most 2**-53 * M, where M bounds every g, h and f.
+        # The computed f therefore still grows while 2**-20 * w_min exceeds
+        # 6 * 2**-53 * M, that is while M / w_min < 2**33 / 6.  Searches
+        # follow simple paths inside dst's component, so M is at most twice
+        # that component's fiber km: ``span``, which counts each fiber from
+        # both ends.  Then a path pops before every path extending it,
+        # entries for one node pop in Dijkstra's (g, path) order, and every
+        # node is settled by the path Dijkstra settles it with.  Past the
+        # bound (2**29 leaves a factor 2.7), h is 0, which is Dijkstra.
+        scale = 1 - 2**-20 if span <= 2**29 * shortest else 0.0
+        dists = self._dists[dst] = {node: dist * scale for node, dist in dists.items()}
+        return dists
+
+    def _shortest_path(self, src, dst, banned_links, banned_nodes, h):
+        """A* returning (length, path) minimal by (length, node seq), the
+        answer of Dijkstra; ``h`` is ``_distances(dst)`` or 0 on its keys."""
+        if src not in h:
+            return None
+        heap = [(h[src], 0.0, (src,))]
         settled = set()
         while heap:
-            dist, path = heapq.heappop(heap)
+            _, dist, path = heapq.heappop(heap)
             node = path[-1]
             if node == dst:
                 return dist, list(path)
             if node in settled:
                 continue
             settled.add(node)
-            for neighbor, link in self._adjacency.get(node, ()):
-                if neighbor in settled or neighbor in banned_nodes:
+            for neighbor, link, key in self._adjacency.get(node, ()):
+                if neighbor in settled or neighbor in banned_nodes or neighbor not in h:
                     continue
-                if not link.operational or (banned_links and link.key in banned_links):
+                if not link.operational or key in banned_links:
                     continue
-                heapq.heappush(heap, (dist + link.length, path + (neighbor,)))
+                g = dist + link.length
+                heapq.heappush(heap, (g + h[neighbor], g, path + (neighbor,)))
         return None

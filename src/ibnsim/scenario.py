@@ -533,4 +533,17 @@ def _parse_events(raw, owners, fibers) -> tuple:
             raise ScenarioParseError(f"unknown event kind {kind!r}")
     if any(e1["time"] > e2["time"] for e1, e2 in zip(events, events[1:])):
         raise ScenarioValidationError("explicit events must be time-ordered")
+    # Replay fiber states in the engine's (time, file order): every fiber
+    # starts up, and only an up fiber can go down, only a down one come up.
+    down = set()
+    for event in events:
+        if event["kind"] != "arrival":
+            a, b = event["link"]
+            key = link_key(a, b)
+            if (key in down) == (event["kind"] == "link_down"):
+                state = "down" if key in down else "up"
+                raise ScenarioValidationError(
+                    f"{event['kind']} at time {event['time']}: fiber {a}-{b} already {state}"
+                )
+            down ^= {key}
     return tuple(events)

@@ -12,6 +12,7 @@ inter-arrival and holding times, which makes event lists reproducible
 bit-for-bit across platforms.
 """
 
+import bisect
 import enum
 import heapq
 import logging
@@ -168,11 +169,8 @@ def _cumulative(weights):
 
 
 def _pick(cumulative, u: float) -> int:
-    threshold = u * cumulative[-1]
-    for i, edge in enumerate(cumulative):
-        if threshold < edge:
-            return i
-    return len(cumulative) - 1
+    """First index whose edge exceeds u * total, else the last index."""
+    return min(bisect.bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
 
 
 # -- monitoring ----------------------------------------------------------------

@@ -119,3 +119,18 @@ def test_malformed_state_exits_2_with_one_line(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith(f"ibnsim: {state}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flips, state", [
+    (["link_down", "link_down"], "down"),
+    (["link_down", "link_up", "link_up"], "up"),
+])
+def test_impossible_link_event_exits_2(tmp_path, capsys, flips, state):
+    doc = json.loads((SCENARIOS / "single_link.json").read_text())
+    doc["events"] += [{"time": 10.0 + i, "kind": kind, "a": [1, 1], "b": [1, 2]}
+                      for i, kind in enumerate(flips)]
+    path = tmp_path / "impossible_flip.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.count(f"fiber 1.1-1.2 already {state}") == 2

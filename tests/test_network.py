@@ -276,3 +276,111 @@ def test_route_memo_answers_like_a_cold_graph(graph_nodes, data):
             assert answer == cold.k_shortest_paths(src, dst, k, exclude_links=exclude)
             if went_down:
                 assert answer == ranked_paths(g, src, dst, k, exclude)
+
+
+# -- A* spur searches ----------------------------------------------------------
+
+
+def graph_with_fibers(fibers):
+    """A graph on nodes 1.1 .. 1.n holding ``fibers``: (a, b, km) triples."""
+    g = make_graph()
+    n = max(max(a, b) for a, b, _ in fibers)
+    nodes = {i: add_node(g, i) for i in range(1, n + 1)}
+    for a, b, km in fibers:
+        g.add_fiber_link(nodes[a], nodes[b], km)
+    return g, nodes
+
+
+def test_astar_keeps_dijkstra_order_on_a_rounded_tie():
+    # 6-2-4-1 and 6-4-1 are both 1.2 km, but 0.1 + 1.1 == 1.2000000000000002:
+    # with f = g + h, node 2's path pops after the tie at 1.2 and 6-4-1 wins.
+    # Dijkstra, and the shrunk heuristic, settle 4 through 2 first.
+    short = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5)]
+    g, n = graph_with_fibers(
+        [(a, b, 0.1) for a, b in short]
+        + [(4, 6, 0.2), (1, 4, 1.0), (1, 5, 1.0), (1, 2, 60.0), (1, 3, 60.0), (1, 6, 60.0)]
+    )
+    assert g.k_shortest_paths(n[6], n[1], 1) == [[n[6], n[2], n[4], n[1]]]
+
+
+TIE_LENGTHS = (0.1, 0.2, 0.3, 1.0, 1.1, 60.0, 84.3)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Dense graphs whose km sums tie often and round differently, with some
+    fibers down, plus links and nodes to ban."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    g = make_graph()
+    nodes = [add_node(g, i + 1) for i in range(n)]
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = [pair for pair in possible if draw(st.integers(0, 3))]  # 3 in 4 get a fiber
+    length = st.one_of(
+        st.sampled_from(TIE_LENGTHS),
+        st.integers(min_value=1, max_value=20).map(lambda tenths: round(tenths * 0.1, 1)),
+    )
+    for i, j in chosen:
+        g.add_fiber_link(nodes[i], nodes[j], draw(length))
+    keys = list(g.fiber_links)
+    few_keys = st.lists(st.sampled_from(keys), unique=True, max_size=3) if keys else st.just([])
+    for key in draw(few_keys):
+        g.set_link_operational(*key, False)
+    banned_links = frozenset(draw(few_keys))
+    banned_nodes = frozenset(draw(st.lists(st.sampled_from(nodes), max_size=2)))
+    return g, nodes, banned_links, banned_nodes
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_graphs())
+def test_astar_spur_search_answers_like_dijkstra(graph):
+    # Every (src, dst) pair, searched with the cached heuristic and with
+    # h = 0, which is Dijkstra; a spur search never bans its own ends.
+    g, nodes, banned_links, banned_nodes = graph
+    zero = dict.fromkeys(g.routers, 0.0)
+    for dst in nodes:
+        h = g._distances(dst)
+        for src in nodes:
+            if src == dst:
+                continue
+            banned = banned_nodes - {src, dst}
+            assert (g._shortest_path(src, dst, banned_links, banned, h)
+                    == g._shortest_path(src, dst, banned_links, banned, zero))
+
+
+def test_heuristic_falls_back_to_zero_beyond_the_rounding_margin():
+    # 2 * (total fiber km) / (shortest fiber km) = 4e9, above the 2**29 the
+    # tie-order argument allows: the search runs as plain Dijkstra.
+    g, n = graph_with_fibers([(1, 2, 0.001), (2, 3, 1e6), (1, 3, 1e6)])
+    assert g._distances(n[3]) == {n[1]: 0.0, n[2]: 0.0, n[3]: 0.0}
+    assert g.k_shortest_paths(n[1], n[3], 3) == ranked_paths(g, n[1], n[3], 3)
+    g, n = graph_with_fibers([(1, 2, 1.0), (2, 3, 1e6), (1, 3, 1e6)])
+    assert g._distances(n[3])[n[2]] > 0.0
+
+
+def test_distances_are_rebuilt_after_every_topology_change():
+    # A cached tree that misses a node prunes every path through it.
+    g, n = graph_with_fibers([(1, 2, 1.0), (2, 3, 1.0)])
+    n4 = add_node(g, 4)
+    assert g.k_shortest_paths(n[1], n4, 1) == []
+    g.add_fiber_link(n[3], n4, 1.0)
+    assert g.k_shortest_paths(n[1], n4, 1) == [[n[1], n[2], n[3], n4]]
+    g.set_link_operational(n[2], n[3], False)
+    assert g.k_shortest_paths(n[1], n[3], 1) == []
+    g.set_link_operational(n[2], n[3], True)
+    assert g.k_shortest_paths(n[1], n[3], 1) == [[n[1], n[2], n[3]]]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: Yen ranks candidates by root + spur km, not by path_length",
+)
+def test_yen_breaks_equal_length_ties_on_the_node_sequence():
+    # 1-2-3-5 and 1-4-3-5 are both 144.6 km by path_length, so 1-2-3-5 is
+    # fifth.  Yen ranks 1-2-3-5 at root + spur = 0.3 + (84.3 + 60.0), which
+    # is 144.60000000000002, and takes 1-4-3-5 instead.
+    g, n = graph_with_fibers([
+        (1, 3, 0.1), (1, 4, 84.3), (3, 4, 0.3), (1, 5, 0.1), (2, 3, 84.3),
+        (1, 2, 0.3), (2, 4, 0.1), (3, 5, 60.0), (2, 5, 0.1),
+    ])
+    exclude = [link_key(n[1], n[3])]
+    assert g.k_shortest_paths(n[1], n[5], 5, exclude) == ranked_paths(g, n[1], n[5], 5, exclude)

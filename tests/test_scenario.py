@@ -285,3 +285,24 @@ def test_any_json_parses_or_raises_scenario_error(value):
     except ScenarioError:
         return
     Simulation(scenario)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["arrival", "link_down", "link_up"]),
+                          st.sampled_from([([1, 1], [1, 2]), ([1, 2], [2, 1])])),
+                max_size=8))
+def test_validated_link_events_never_stop_the_run(steps):
+    # Whatever parsing accepts, the engine can replay: no link event finds
+    # its fiber already in the state it asks for.
+    doc = two_domain_doc()
+    del doc["traffic"]
+    doc["events"] = [
+        {"time": i // 2, "kind": kind, "a": a, "b": b} if kind != "arrival" else
+        {"time": i // 2, "kind": kind, "src": [1, 1], "dst": [2, 1], "rate": 100, "holding": 1.5}
+        for i, (kind, (a, b)) in enumerate(steps)
+    ]
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ScenarioValidationError:
+        return
+    Simulation(scenario).run()

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibnsim.compilation import InstallOutcome, compile_connectivity, install_intent
 from ibnsim.errors import InvalidConfigError, LinkStateError, UnknownLinkError
@@ -11,6 +13,8 @@ from ibnsim.simulation import (
     EventKind,
     Simulation,
     TrafficConfig,
+    _cumulative,
+    _pick,
     generate_traffic,
     monitor_failure,
     monitor_repair,
@@ -428,3 +432,14 @@ def test_blocking_monotone_in_arrival_rate():
         )
         blocked.append(Simulation(scenario).run().metrics.blocked)
     assert blocked[0] <= blocked[1] <= blocked[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)), min_size=1).filter(any),
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_pick_matches_a_linear_scan(weights, u):
+    cumulative = _cumulative(weights)
+    threshold = u * cumulative[-1]
+    scan = next((i for i, edge in enumerate(cumulative) if threshold < edge),
+                len(cumulative) - 1)
+    assert _pick(cumulative, u) == scan
