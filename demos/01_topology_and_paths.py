@@ -7,7 +7,7 @@ one chord and walks through the read-side API: shortest paths, path lengths,
 and spectrum availability.
 """
 
-from ibnsim import NetworkGraph, NodeId, OxcView, RouterView
+from ibnsim import NetworkGraph, NodeId, OxcView, RouterView, first_fit_spectrum
 
 graph = NetworkGraph(slot_count=16)
 
@@ -31,14 +31,26 @@ print("nodes:", len(graph.routers), "fibers:", len(graph.fiber_links))
 for path in graph.k_shortest_paths(nodes[1], nodes[3], k=3):
     print(f"  {' -> '.join(str(n) for n in path)}  ({graph.path_length(path):.0f} km)")
 
+
+
+def free_slots(path):
+    """Slots free on every fiber of ``path``: bit i of a fiber's ``busy``
+    mask is set while slot i+1 is held."""
+    held = 0
+    for link in graph.path_links(path):
+        held |= link.busy
+    return [slot for slot in range(1, graph.slot_count + 1) if not held >> (slot - 1) & 1]
+
+
 # Spectrum is all free so far: every slot is usable on any path.
 path = [nodes[1], nodes[2], nodes[3]]
-print("free slots on 1->2->3:", sorted(graph.free_slot_blocks(path)))
+print("free slots on 1->2->3:", free_slots(path))
 
 # Occupy a few slots on the 2-3 hop and watch the intersection shrink.
 link = graph.link_between(nodes[2], nodes[3])
 graph.reserve_spectrum(link, 1, 3, "someone-else")
-print("after reserving 1-3 on fiber 2-3:", sorted(graph.free_slot_blocks(path)))
+print("after reserving 1-3 on fiber 2-3:", free_slots(path))
+print("first 4-slot block on 1->2->3:", first_fit_spectrum(graph, path, 4))
 
 # Failures remove links from routing without touching their state.
 graph.set_link_operational(nodes[1], nodes[2], False)

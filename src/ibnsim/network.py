@@ -109,12 +109,6 @@ class FiberLink:
     def key(self) -> LinkKey:
         return link_key(*self.endpoints)
 
-    def holder(self, slot: int):
-        return self.slot_grid[slot - 1]
-
-    def free_slots(self) -> set[int]:
-        return {i + 1 for i, holder in enumerate(self.slot_grid) if holder is None}
-
 
 @dataclass
 class NetworkGraph:
@@ -131,11 +125,18 @@ class NetworkGraph:
     oxcs: dict = field(default_factory=dict)  # NodeId -> OxcView
     fiber_links: dict = field(default_factory=dict)  # LinkKey -> FiberLink
     reserved_cells: int = 0  # held (fiber, slot) cells, kept by reserve/release
-    # node -> [(neighbor, FiberLink, LinkKey)]
-    _adjacency: dict = field(default_factory=dict, repr=False)
-    # (src, dst, k, frozenset of excluded links) -> tuple of path tuples, and
-    # dst -> the A* heuristic of ``_distances``; both are cleared whenever a
-    # fiber is added or changes operational state.
+    # Routing index.  Each fiber owns one bit, in insertion order; ``_down``
+    # holds the bits of the down fibers, and only set_link_operational
+    # writes it.  ``_index`` is built by ``_graph_index`` on first use.
+    _bits: dict = field(default_factory=dict, repr=False)  # LinkKey -> bit
+    _down: int = field(default=0, repr=False)
+    _index: Optional[tuple] = field(default=None, repr=False)
+    # (src, dst, k, excluded bits) -> (paths, used, down) and dst position ->
+    # (A* heuristic, down): answers tagged with the down-set they were
+    # computed under and, for routes, the bits of every link a search
+    # returned.  Link flips keep both (see ``k_shortest_paths`` and
+    # ``_distances`` for when an entry still holds); add_node and
+    # add_fiber_link clear them.
     _routes: dict = field(default_factory=dict, repr=False)
     _dists: dict = field(default_factory=dict, repr=False)
 
@@ -148,6 +149,7 @@ class NetworkGraph:
             raise DuplicateNodeError(f"node {router.node} already present")
         self.routers[router.node] = router
         self.oxcs[oxc.node] = oxc
+        self._reindex()
 
     def add_fiber_link(self, a: NodeId, b: NodeId, length: float) -> FiberLink:
         for end in (a, b):
@@ -160,11 +162,14 @@ class NetworkGraph:
             raise DuplicateLinkError(f"fiber {a}-{b} already present")
         link = FiberLink((a, b), float(length), [None] * self.slot_count)
         self.fiber_links[key] = link
-        self._adjacency.setdefault(a, []).append((b, link, key))
-        self._adjacency.setdefault(b, []).append((a, link, key))
+        self._bits[key] = 1 << len(self._bits)
+        self._reindex()
+        return link
+
+    def _reindex(self) -> None:
+        self._index = None
         self._routes.clear()
         self._dists.clear()
-        return link
 
     # -- queries -----------------------------------------------------------
 
@@ -191,16 +196,6 @@ class NetworkGraph:
     def path_length(self, path: Iterable[NodeId]) -> float:
         return sum(link.length for link in self.path_links(path))
 
-    def free_slot_blocks(self, path: Iterable[NodeId]) -> set[int]:
-        """Slot indices free on every link of ``path``.
-
-        A single-node path intersects nothing and yields the full grid.
-        """
-        free = set(range(1, self.slot_count + 1))
-        for link in self.path_links(path):
-            free &= link.free_slots()
-        return free
-
     def set_link_operational(self, a: NodeId, b: NodeId, up: bool) -> FiberLink:
         link = self.link_between(a, b)
         if link is None:
@@ -209,8 +204,7 @@ class NetworkGraph:
             state = "up" if up else "down"
             raise LinkStateError(f"fiber {a}-{b} already {state}")
         link.operational = up
-        self._routes.clear()
-        self._dists.clear()
+        self._down ^= self._bits[link.key]
         return link
 
     # -- booking -----------------------------------------------------------
@@ -289,7 +283,7 @@ class NetworkGraph:
         lexicographically on the node sequence, so results are deterministic.
         Non-operational links and ``exclude_links`` are never traversed.
         Returns an empty list when src and dst are disconnected.  Answers
-        are memoized until the topology changes; each call gets fresh lists.
+        are memoized; each call gets fresh lists.
         """
         if src == dst:
             raise ValueError("k_shortest_paths requires src != dst")
@@ -299,80 +293,169 @@ class NetworkGraph:
         if k < 1:
             return []
 
-        banned = frozenset(exclude_links)
-        memo_key = (src, dst, k, banned)
+        excluded = 0
+        for key in exclude_links:
+            excluded |= self._bits.get(key, 0)
+        memo_key = (src, dst, k, excluded)
         memo = self._routes.get(memo_key)
-        if memo is None:
-            paths = self._yen(src, dst, k, banned)
-            if not paths:
-                return []
-            memo = self._routes[memo_key] = tuple(tuple(path) for path in paths)
-        return [list(path) for path in memo]
+        down = self._down
+        # Every search returns the least path among those it may use, so
+        # taking down links that no returned path used changes no answer,
+        # and a search that never ran had a bound above the last accepted
+        # key.  An answer therefore holds while no link down at its
+        # computation came back up and no link it used went down.
+        if memo is None or memo[2] & ~down or memo[1] & down:
+            nodes, pos, _, _ = self._graph_index()
+            paths, used = self._yen(pos[src], pos[dst], k, excluded)
+            paths = tuple(tuple(nodes[p] for p in path) for path in paths)
+            memo = self._routes[memo_key] = (paths, used, down)
+        return [list(path) for path in memo[0]]
 
-    def _yen(self, src, dst, k, banned):
-        """Yen's k shortest loop-free paths avoiding the ``banned`` links."""
+    def _graph_index(self):
+        """(nodes in NodeId order, NodeId -> position, adjacency, hops).
+
+        ``adjacency[u]`` lists ``(v, 1 << v, km, link bit)`` per fiber of the
+        node at position u; ``hops[u, v]`` is ``(km, link bit)``.  Positions
+        follow NodeId order, so tuples of positions sort like the paths."""
+        if self._index is None:
+            nodes = sorted(self.routers)
+            pos = {node: i for i, node in enumerate(nodes)}
+            adjacency = [[] for _ in nodes]
+            hops = {}
+            for key, link in self.fiber_links.items():
+                a, b = pos[link.endpoints[0]], pos[link.endpoints[1]]
+                bit = self._bits[key]
+                adjacency[a].append((b, 1 << b, link.length, bit))
+                adjacency[b].append((a, 1 << a, link.length, bit))
+                hops[a, b] = hops[b, a] = (link.length, bit)
+            self._index = nodes, pos, adjacency, hops
+        return self._index
+
+    def _yen(self, src, dst, k, excluded):
+        """Yen's k shortest loop-free paths between positions avoiding the
+        ``excluded`` link bits: (paths, bits of every link a search returned).
+
+        Spur searches are deferred (after Kurz and Mutzel, ISAAC 2016): the
+        search from spur i of accepted path m enters the candidate heap
+        keyed by a lower bound on every key it can return, with the bans
+        it would have had right after m was accepted, and runs only when it
+        reaches the top.  A search pops before a candidate of equal key, and
+        a path keeps the key of the earliest search (m, i) that returns it.
+        That is the order, keys and dedup of running every search at once,
+        so the answer is the same, root + spur tie quirk included.
+        """
+        _, _, adjacency, hops = self._graph_index()
         h = self._distances(dst)
-        first = self._shortest_path(src, dst, banned, frozenset(), h)
+        banned = excluded | self._down
+        first = self._shortest_path(src, dst, banned, 0, h)
         if first is None:
-            return []
-
+            return [], 0
+        used = self._path_bits(first[1])
         accepted = [first]
-        candidates: list[tuple[float, tuple, list]] = []
-        seen = {tuple(first[1])}
+        done = {first[1]}
+        best = {}  # path -> (m, i, key) of the earliest search returning it
+        heap = []
 
         while len(accepted) < k:
-            prev = accepted[-1][1]
-            root_len = 0  # path_length(root), carried one link at a time
+            m = len(accepted) - 1
+            prev = accepted[m][1]
+            root_len = 0  # km of prev[:i + 1], carried one link at a time
+            blocked = 0  # node bits of prev[:i]
             for i, spur in enumerate(prev[:-1]):
                 if i:
-                    root_len += self.link_between(prev[i - 1], spur).length
+                    root_len += hops[prev[i - 1], spur][0]
+                    blocked |= 1 << prev[i - 1]
                 root = prev[: i + 1]
-                # Edges that would recreate an already-accepted path sharing
+                # Links that would recreate an already-accepted path sharing
                 # this root are banned for the spur search.
-                spur_banned = set(banned)
+                spur_banned = banned
                 for _, p in accepted:
                     if p[: i + 1] == root:
-                        spur_banned.add(link_key(p[i], p[i + 1]))
-                blocked_nodes = frozenset(root[:-1])
-                spur_path = self._shortest_path(spur, dst, spur_banned, blocked_nodes, h)
-                if spur_path is None:
-                    continue
-                total = root[:-1] + spur_path[1]
-                key = tuple(total)
-                if key in seen:
-                    continue
-                seen.add(key)
-                heapq.heappush(candidates, (root_len + spur_path[0], key, total))
-            if not candidates:
-                break
-            _, _, path = heapq.heappop(candidates)
-            # Re-sum canonically so tie-breaking matches path_length exactly.
-            accepted.append((self.path_length(path), path))
+                        spur_banned |= hops[p[i], p[i + 1]][1]
+                low = math.inf
+                for neighbor, nbit, km, bit in adjacency[spur]:
+                    if not (bit & spur_banned or nbit & blocked) and h[neighbor] is not None:
+                        low = min(low, km + h[neighbor])
+                if low == math.inf:
+                    continue  # the search cannot leave the spur
+                # Any key of a path this search may return, given by this
+                # or any other search, sums that path's n fibers in some
+                # grouping: it is within n * 2**-53 of the true km.
+                # root_len + low sums the root, one hop and h, which never
+                # exceeds the true km left (the 2**-20 shrink covers the
+                # tree's roundings), so it exceeds the true km by at most
+                # (n + 3) * 2**-53.  Shrunk by 2**-30, the bound is below
+                # every such key while 2n + 3 < 2**23: the search pops
+                # before any path it could return, or give an earlier key.
+                bound = (root_len + low) * (1 - 2**-30)
+                heapq.heappush(heap, (bound, 0, m, i, root, root_len, spur_banned, blocked))
 
-        accepted.sort(key=lambda entry: (entry[0], tuple(entry[1])))
-        return [path for _, path in accepted]
+            while heap:
+                entry = heapq.heappop(heap)
+                if entry[1]:
+                    key, _, path = entry
+                    if path not in done and best[path][2] == key:
+                        done.add(path)
+                        km = sum(hops[a, b][0] for a, b in zip(path, path[1:]))
+                        accepted.append((km, path))
+                        break
+                    continue  # accepted already, or a later search's key
+                _, _, m, i, root, root_len, spur_banned, blocked = entry
+                found = self._shortest_path(root[-1], dst, spur_banned, blocked, h)
+                if found is None:
+                    continue
+                used |= self._path_bits(found[1])
+                path = root[:-1] + found[1]
+                prior = best.get(path)
+                if path in done or (prior is not None and prior[:2] < (m, i)):
+                    continue
+                key = root_len + found[0]
+                best[path] = (m, i, key)
+                heapq.heappush(heap, (key, 1, path))
+            else:
+                break
+
+        accepted.sort()
+        return [path for _, path in accepted], used
+
+    def _path_bits(self, path) -> int:
+        hops = self._index[3]
+        bits = 0
+        for a, b in zip(path, path[1:]):
+            bits |= hops[a, b][1]
+        return bits
 
     def _distances(self, dst):
-        """A* heuristic towards ``dst``: node -> lower bound on its km to dst,
-        for every node that reaches dst over operational fibers.  Spur
-        searches only ban more links and nodes, so one tree serves them all."""
-        dists = self._dists.get(dst)
-        if dists is not None:
-            return dists
-        dists = {}
+        """A* heuristic towards position ``dst``: a list giving, per node
+        position, a lower bound on its km to dst, or None when the node does
+        not reach dst over operational fibers.  Spur searches only ban more
+        links and nodes, so one tree serves them all.
+
+        A tree is kept while every fiber down at its build is still down.
+        Its graph then holds every operational fiber, so its distances are
+        still lower bounds and still consistent (h(u) <= w + h(v) on every
+        fiber u-v that is up), and its ``span`` still bounds every g, h and
+        f below: the margin argument holds unchanged on a stale tree.
+        """
+        cached = self._dists.get(dst)
+        down = self._down
+        if cached is not None and not cached[1] & ~down:
+            return cached[0]
+        adjacency = self._graph_index()[2]
+        dists = [None] * len(adjacency)
         span, shortest = 0.0, math.inf
         heap = [(0.0, dst)]
         while heap:
             dist, node = heapq.heappop(heap)
-            if node in dists:
+            if dists[node] is not None:
                 continue
             dists[node] = dist
-            for neighbor, link, _ in self._adjacency.get(node, ()):
-                if link.operational:
-                    span += link.length
-                    shortest = min(shortest, link.length)
-                    if neighbor not in dists:
-                        heapq.heappush(heap, (dist + link.length, neighbor))
+            for neighbor, _, km, bit in adjacency[node]:
+                if not bit & down:
+                    span += km
+                    shortest = min(shortest, km)
+                    if dists[neighbor] is None:
+                        heapq.heappush(heap, (dist + km, neighbor))
         # With the exact distances h, rounding can reorder a tie: in f = g + h,
         # 0.1 + 1.1 is 1.2000000000000002 while 0.2 + 1.0 is 1.2, so the path
         # Dijkstra settles first can pop second.  Shrunk by c = 1 - 2**-20, h
@@ -390,29 +473,33 @@ class NetworkGraph:
         # node is settled by the path Dijkstra settles it with.  Past the
         # bound (2**29 leaves a factor 2.7), h is 0, which is Dijkstra.
         scale = 1 - 2**-20 if span <= 2**29 * shortest else 0.0
-        dists = self._dists[dst] = {node: dist * scale for node, dist in dists.items()}
-        return dists
+        h = [None if dist is None else dist * scale for dist in dists]
+        self._dists[dst] = (h, down)
+        return h
 
-    def _shortest_path(self, src, dst, banned_links, banned_nodes, h):
-        """A* returning (length, path) minimal by (length, node seq), the
-        answer of Dijkstra; ``h`` is ``_distances(dst)`` or 0 on its keys."""
-        if src not in h:
+    def _shortest_path(self, src, dst, banned, blocked, h):
+        """A* between node positions returning (length, path) minimal by
+        (length, node seq), the answer of Dijkstra, or None.  ``banned`` and
+        ``blocked`` are link and node bits never crossed (down fibers are
+        the caller's to ban); ``h`` is ``_distances(dst)`` or 0 where it is
+        not None."""
+        adjacency = self._index[2]
+        if h[src] is None:
             return None
         heap = [(h[src], 0.0, (src,))]
-        settled = set()
         while heap:
             _, dist, path = heapq.heappop(heap)
             node = path[-1]
             if node == dst:
-                return dist, list(path)
-            if node in settled:
+                return dist, path
+            if blocked >> node & 1:
                 continue
-            settled.add(node)
-            for neighbor, link, key in self._adjacency.get(node, ()):
-                if neighbor in settled or neighbor in banned_nodes or neighbor not in h:
+            blocked |= 1 << node
+            for neighbor, nbit, km, bit in adjacency[node]:
+                if nbit & blocked or bit & banned:
                     continue
-                if not link.operational or key in banned_links:
-                    continue
-                g = dist + link.length
-                heapq.heappush(heap, (g + h[neighbor], g, path + (neighbor,)))
+                rest = h[neighbor]
+                if rest is not None:
+                    g = dist + km
+                    heapq.heappush(heap, (g + rest, g, path + (neighbor,)))
         return None

@@ -192,7 +192,11 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
     for did in sorted(domains):
         ctrl = domains[did]
         link = ctrl.graph.link_between(a, b)
-        holders = {h for h in link.slot_grid if h is not None} if link else ()
+        if link is None:
+            # Nothing changed here, and between events every delegator has
+            # heard the current aggregate, so a flush would send nothing.
+            continue
+        holders = {h for h in link.slot_grid if h is not None}
         # Ids are never reused, so sorted ids follow DAG insertion order.
         for iid in sorted(holders):
             if ctrl.dag.state(iid) is not IntentState.INSTALLED:

@@ -6,6 +6,8 @@ every start index, and the compilation oracle from enumerating all feasible
 (path, mode, slot) triples.
 """
 
+import heapq
+
 from ibnsim.network import link_key
 
 
@@ -56,12 +58,89 @@ def ranked_paths(graph, src, dst, k, exclude=()):
     return paths[:k]
 
 
+def eager_yen(graph, src, dst, k, exclude=()):
+    """Yen's k shortest paths as the library ran them before its spur
+    searches were deferred: every spur search of a path runs as soon as the
+    path is accepted, candidates rank by (root km + spur km, node sequence),
+    and each spur search is Dijkstra ordered by (km, node sequence)."""
+    banned = set(exclude) | {
+        key for key, link in graph.fiber_links.items() if not link.operational
+    }
+    first = _dijkstra(graph, src, dst, banned, frozenset())
+    if first is None:
+        return []
+
+    accepted = [first]
+    candidates = []
+    seen = {tuple(first[1])}
+
+    while len(accepted) < k:
+        prev = accepted[-1][1]
+        root_len = 0
+        for i, spur in enumerate(prev[:-1]):
+            if i:
+                root_len += graph.link_between(prev[i - 1], spur).length
+            root = prev[: i + 1]
+            spur_banned = set(banned)
+            for _, p in accepted:
+                if p[: i + 1] == root:
+                    spur_banned.add(link_key(p[i], p[i + 1]))
+            blocked_nodes = frozenset(root[:-1])
+            spur_path = _dijkstra(graph, spur, dst, spur_banned, blocked_nodes)
+            if spur_path is None:
+                continue
+            total = root[:-1] + spur_path[1]
+            key = tuple(total)
+            if key in seen:
+                continue
+            seen.add(key)
+            heapq.heappush(candidates, (root_len + spur_path[0], key, total))
+        if not candidates:
+            break
+        _, _, path = heapq.heappop(candidates)
+        accepted.append((path_length(graph, path), path))
+
+    accepted.sort(key=lambda entry: (entry[0], tuple(entry[1])))
+    return [path for _, path in accepted]
+
+
+def _dijkstra(graph, src, dst, banned_links, banned_nodes):
+    """(km, path) minimal by (km, node sequence), or None."""
+    adj = {}
+    for key, link in graph.fiber_links.items():
+        if key not in banned_links:
+            a, b = link.endpoints
+            adj.setdefault(a, []).append((b, link.length))
+            adj.setdefault(b, []).append((a, link.length))
+    heap = [(0.0, (src,))]
+    settled = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == dst:
+            return dist, list(path)
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbor, km in adj.get(node, ()):
+            if neighbor not in settled and neighbor not in banned_nodes:
+                heapq.heappush(heap, (dist + km, path + (neighbor,)))
+    return None
+
+
+def free_slots(link):
+    """Slot indices (1-based) no intent holds on ``link``."""
+    return {i + 1 for i, holder in enumerate(link.slot_grid) if holder is None}
+
+
 def free_slots_on_path(graph, path, treat_free=()):
-    """Intersection of free slot sets over the path, slot indices 1-based."""
+    """Intersection of free slot sets over the path, slot indices 1-based.
+
+    A single-node path intersects nothing and yields the full grid; a hop
+    with no fiber raises BrokenPathError."""
     free = set(range(1, graph.slot_count + 1))
     as_free = set(treat_free)
-    for a, b in zip(path, path[1:]):
-        link = graph.fiber_links[link_key(a, b)]
+    for link in graph.path_links(path):
         free &= {
             slot
             for slot in range(1, graph.slot_count + 1)
@@ -109,8 +188,11 @@ def audit_resources(domains):
     Every held slot, port and add/drop termination must be claimed by an
     installed or failed leaf of the domain's DAG, and every such leaf must
     hold what it claims.  Each fiber's ``busy`` mask must index exactly the
-    held cells of its slot grid.  Returns a list of violation strings; empty means
-    every no-overbooking, contiguity, continuity, and reach invariant holds.
+    held cells of its slot grid, the graph's ``_down`` mask exactly its down
+    fibers, and every delegator must have been told
+    the current aggregate of what it delegated (``notification_mismatches``).
+    Returns a list of violation strings; empty means every no-overbooking,
+    contiguity, continuity, reach and notification invariant holds.
     """
     from ibnsim.intents import IntentState, LightpathIntent, RouterPortIntent
 
@@ -133,7 +215,10 @@ def audit_resources(domains):
                 for end_node in (payload.path[0], payload.path[-1]):
                     claimed_ends.setdefault(end_node, set()).add(iid)
         grid_cells = {}
+        down_mask = 0
         for key, link in graph.fiber_links.items():
+            if not link.operational:
+                down_mask |= graph._bits[key]
             held_mask = 0
             for slot, holder in enumerate(link.slot_grid, start=1):
                 if holder is not None:
@@ -142,6 +227,8 @@ def audit_resources(domains):
             if link.busy != held_mask:
                 problems.append(f"domain {did}: busy mask and slot grid disagree on "
                                 f"{key[0]}-{key[1]}")
+        if graph._down != down_mask:
+            problems.append(f"domain {did}: down mask and fiber states disagree")
         if grid_cells != claimed_cells:
             problems.append(f"domain {did}: slot grids and DAG lightpaths disagree")
         if graph.reserved_cells != len(grid_cells):
@@ -178,12 +265,25 @@ def audit_resources(domains):
                     continue
                 length += link.length
                 for slot in range(start, end + 1):
-                    if link.holder(slot) != iid:
+                    if link.slot_grid[slot - 1] != iid:
                         problems.append(
                             f"domain {did}: {iid} missing slot {slot} on {a}-{b}"
                         )
             if length > payload.mode.reach:
                 problems.append(f"domain {did}: {iid} exceeds mode reach")
+        problems += [f"domain {did}: {p}" for p in notification_mismatches(ctrl)]
+    return problems
+
+
+def notification_mismatches(ctrl):
+    """Delegated intents whose last state sent to the delegator is not their
+    aggregate state: between events, every change must have been sent."""
+    problems = []
+    for iid in sorted(ctrl.origins):
+        if iid not in ctrl.dag.nodes:
+            problems.append(f"delegated {iid} is not in the DAG")
+        elif ctrl.last_notified.get(iid) is not ctrl.dag.aggregate_state(iid):
+            problems.append(f"delegator of {iid} last heard {ctrl.last_notified.get(iid)}")
     return problems
 
 

@@ -92,7 +92,7 @@ def test_first_fit_matches_brute_force(data):
                                   max_size=8), label="runs")
         for first, last, holder in runs:
             for slot in range(min(first, last), max(first, last) + 1):
-                if link.holder(slot) is None:
+                if link.slot_grid[slot - 1] is None:
                     graph.reserve_spectrum(link, slot, slot, holder)
     width = data.draw(st.integers(min_value=1, max_value=slot_count + 1), label="width")
     as_free = data.draw(st.sets(st.sampled_from(HOLDERS)), label="as_free")
@@ -221,7 +221,7 @@ class TestInstallIntent:
             if isinstance(ctrl.dag.payload(c), LightpathIntent)
         )
         link = ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))
-        assert [link.holder(s) for s in range(1, 5)] == [lightpath_id] * 4
+        assert link.slot_grid[:4] == [lightpath_id] * 4
         assert ctrl.graph.routers[NodeId(1, 1)].ports_used == 1
         assert ctrl.graph.oxcs[NodeId(1, 1)].add_drop_used == 1
         assert export_topology({1: ctrl})["domains"][0]["virtual_links"] == [

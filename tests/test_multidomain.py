@@ -19,7 +19,7 @@ from ibnsim.multidomain import (
 from ibnsim.network import NodeId
 
 from .builders import make_domain, make_domains, reserve, snapshot
-from .oracles import mirror_mismatches
+from .oracles import free_slots, mirror_mismatches
 
 U = IntentState.UNCOMPILED
 C = IntentState.COMPILED
@@ -290,7 +290,7 @@ class TestTeardown:
         border = (NodeId(1, 3), NodeId(2, 1))
         for ctrl in domains.values():
             link = ctrl.graph.link_between(*border)
-            assert link.free_slots() == set(range(1, 9))
+            assert free_slots(link) == set(range(1, 9))
 
 
 @pytest.mark.xfail(

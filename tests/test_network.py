@@ -10,7 +10,7 @@ from ibnsim.errors import (
 )
 from ibnsim.network import NetworkGraph, NodeId, OxcView, RouterView, link_key
 
-from .oracles import ranked_paths
+from .oracles import eager_yen, free_slots, free_slots_on_path, ranked_paths
 
 
 def make_graph(slot_count=8):
@@ -51,7 +51,8 @@ class TestAddFiberLink:
         link = g.add_fiber_link(n1, n2, 100.0)
         assert len(g.fiber_links) == 1
         assert link.operational
-        assert link.free_slots() == set(range(1, 9))
+        assert free_slots(link) == set(range(1, 9))
+        assert link.busy == 0
 
     def test_duplicate_link(self):
         g = make_graph()
@@ -150,7 +151,7 @@ class TestFreeSlotBlocks:
         g = make_graph()
         n1, n2 = add_node(g, 1), add_node(g, 2)
         g.add_fiber_link(n1, n2, 100.0)
-        assert g.free_slot_blocks([n1, n2]) == set(range(1, 9))
+        assert free_slots_on_path(g, [n1, n2]) == set(range(1, 9))
 
     def test_intersection(self):
         # link1 reserved {1,2} and link2 reserved {2,3}: free on both = {4..8}.
@@ -160,18 +161,18 @@ class TestFreeSlotBlocks:
         l2 = g.add_fiber_link(n2, n3, 10.0)
         g.reserve_spectrum(l1, 1, 2, "x")
         g.reserve_spectrum(l2, 2, 3, "y")
-        assert g.free_slot_blocks([n1, n2, n3]) == {4, 5, 6, 7, 8}
+        assert free_slots_on_path(g, [n1, n2, n3]) == {4, 5, 6, 7, 8}
 
     def test_single_node_full_grid(self):
         g = make_graph()
         n1 = add_node(g, 1)
-        assert g.free_slot_blocks([n1]) == set(range(1, 9))
+        assert free_slots_on_path(g, [n1]) == set(range(1, 9))
 
     def test_broken_path(self):
         g = make_graph()
         n1, n2 = add_node(g, 1), add_node(g, 2)
         with pytest.raises(BrokenPathError):
-            g.free_slot_blocks([n1, n2])
+            free_slots_on_path(g, [n1, n2])
 
 
 # -- properties ----------------------------------------------------------------
@@ -228,9 +229,9 @@ def test_free_slots_shrink_along_prefixes(graph_nodes, data):
             st.lists(st.integers(min_value=1, max_value=8), max_size=4)
         )):
             g.reserve_spectrum(link, slot, slot, "taken")
-    full = g.free_slot_blocks(path)
+    full = free_slots_on_path(g, path)
     for cut in range(2, len(path) + 1):
-        assert full <= g.free_slot_blocks(path[:cut])
+        assert full <= free_slots_on_path(g, path[:cut])
 
 
 def cold_copy(graph):
@@ -250,6 +251,8 @@ def cold_copy(graph):
 def test_route_memo_answers_like_a_cold_graph(graph_nodes, data):
     # A few queries asked again after every link flip, and after one fiber
     # added late, must see the topology of that moment, not a memoized one.
+    # The flips are undone in reverse order, so every down-set is revisited
+    # after other flips, with the answers computed under it still memoized.
     g, nodes = graph_nodes
     keys = list(g.fiber_links)
     query = st.tuples(
@@ -260,14 +263,16 @@ def test_route_memo_answers_like_a_cold_graph(graph_nodes, data):
     queries = data.draw(st.lists(query, min_size=1, max_size=3), label="queries")
     missing = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
                if g.link_between(a, b) is None]
-    late = data.draw(st.integers(min_value=0, max_value=5), label="late step")
-    for step in range(6):
+    flips = data.draw(st.lists(st.sampled_from(keys), max_size=3), label="flips") if keys else []
+    walk = flips + flips[::-1]
+    late = data.draw(st.integers(min_value=0, max_value=len(walk)), label="late step")
+    for step in range(len(walk) + 1):
         went_down = False
         if step == late and missing:
             a, b = data.draw(st.sampled_from(missing), label="late fiber")
             g.add_fiber_link(a, b, 1.0)
-        elif keys:
-            link = g.fiber_links[data.draw(st.sampled_from(keys), label="flip")]
+        if step:
+            link = g.fiber_links[walk[step - 1]]
             g.set_link_operational(*link.endpoints, not link.operational)
             went_down = not link.operational
         cold = cold_copy(g)
@@ -330,43 +335,118 @@ def tie_heavy_graphs(draw):
     return g, nodes, banned_links, banned_nodes
 
 
+def position(g, node):
+    return g._graph_index()[1][node]
+
+
+def link_bits(g, keys):
+    bits = 0
+    for key in keys:
+        bits |= g._bits[key]
+    return bits
+
+
+def node_bits(g, nodes):
+    bits = 0
+    for node in nodes:
+        bits |= 1 << position(g, node)
+    return bits
+
+
 @settings(max_examples=400, deadline=None)
 @given(tie_heavy_graphs())
 def test_astar_spur_search_answers_like_dijkstra(graph):
     # Every (src, dst) pair, searched with the cached heuristic and with
     # h = 0, which is Dijkstra; a spur search never bans its own ends.
     g, nodes, banned_links, banned_nodes = graph
-    zero = dict.fromkeys(g.routers, 0.0)
+    zero = [0.0] * len(g.routers)
+    banned = g._down | link_bits(g, banned_links)
     for dst in nodes:
-        h = g._distances(dst)
+        h = g._distances(position(g, dst))
         for src in nodes:
             if src == dst:
                 continue
-            banned = banned_nodes - {src, dst}
-            assert (g._shortest_path(src, dst, banned_links, banned, h)
-                    == g._shortest_path(src, dst, banned_links, banned, zero))
+            blocked = node_bits(g, banned_nodes - {src, dst})
+            ends = position(g, src), position(g, dst)
+            assert (g._shortest_path(*ends, banned, blocked, h)
+                    == g._shortest_path(*ends, banned, blocked, zero))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_graphs(), st.data())
+def test_astar_on_a_stale_tree_answers_like_dijkstra(graph, data):
+    # A tree built before up to 3 more fibers went down is kept, and still
+    # gives Dijkstra's answer on the graph that is left.
+    g, nodes, banned_links, banned_nodes = graph
+    trees = {dst: g._distances(position(g, dst)) for dst in nodes}
+    up = [key for key, link in g.fiber_links.items() if link.operational]
+    if up:
+        for key in data.draw(st.lists(st.sampled_from(up), unique=True, max_size=3)):
+            g.set_link_operational(*key, False)
+    zero = [0.0] * len(g.routers)
+    banned = g._down | link_bits(g, banned_links)
+    for dst, h in trees.items():
+        assert g._distances(position(g, dst)) is h
+        for src in nodes:
+            if src == dst:
+                continue
+            blocked = node_bits(g, banned_nodes - {src, dst})
+            ends = position(g, src), position(g, dst)
+            assert (g._shortest_path(*ends, banned, blocked, h)
+                    == g._shortest_path(*ends, banned, blocked, zero))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_graphs(), st.data())
+def test_deferred_yen_answers_like_eager_yen(graph, data):
+    # The same queries, asked again after every flip of a few fibers, give
+    # exactly what running every spur search at once gives, in its order.
+    g, nodes, banned_links, _ = graph
+    if len(nodes) < 2:
+        return
+    keys = list(g.fiber_links)
+    query = st.tuples(
+        st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.sampled_from(keys), unique=True, max_size=3) if keys else st.just([]),
+    )
+    queries = [((nodes[0], nodes[-1]), 6, sorted(banned_links))]
+    queries += data.draw(st.lists(query, max_size=3), label="queries")
+    flips = data.draw(st.lists(st.sampled_from(keys), max_size=4), label="flips") if keys else []
+    for step in range(len(flips) + 1):
+        if step:
+            link = g.fiber_links[flips[step - 1]]
+            g.set_link_operational(*link.endpoints, not link.operational)
+        for (src, dst), k, exclude in queries:
+            assert g.k_shortest_paths(src, dst, k, exclude) == eager_yen(g, src, dst, k, exclude)
 
 
 def test_heuristic_falls_back_to_zero_beyond_the_rounding_margin():
     # 2 * (total fiber km) / (shortest fiber km) = 4e9, above the 2**29 the
     # tie-order argument allows: the search runs as plain Dijkstra.
     g, n = graph_with_fibers([(1, 2, 0.001), (2, 3, 1e6), (1, 3, 1e6)])
-    assert g._distances(n[3]) == {n[1]: 0.0, n[2]: 0.0, n[3]: 0.0}
+    assert g._distances(position(g, n[3])) == [0.0, 0.0, 0.0]
     assert g.k_shortest_paths(n[1], n[3], 3) == ranked_paths(g, n[1], n[3], 3)
     g, n = graph_with_fibers([(1, 2, 1.0), (2, 3, 1e6), (1, 3, 1e6)])
-    assert g._distances(n[3])[n[2]] > 0.0
+    assert g._distances(position(g, n[3]))[position(g, n[2])] > 0.0
 
 
-def test_distances_are_rebuilt_after_every_topology_change():
-    # A cached tree that misses a node prunes every path through it.
+def test_distances_are_kept_on_link_down_and_rebuilt_otherwise():
+    # A cached tree that misses a node prunes every path through it, so a
+    # new fiber or a fiber back up rebuilds it; a fiber going down leaves a
+    # tree of a larger graph, still a lower bound, and keeps it.
     g, n = graph_with_fibers([(1, 2, 1.0), (2, 3, 1.0)])
     n4 = add_node(g, 4)
     assert g.k_shortest_paths(n[1], n4, 1) == []
     g.add_fiber_link(n[3], n4, 1.0)
     assert g.k_shortest_paths(n[1], n4, 1) == [[n[1], n[2], n[3], n4]]
+    tree = g._distances(position(g, n[3]))
     g.set_link_operational(n[2], n[3], False)
     assert g.k_shortest_paths(n[1], n[3], 1) == []
+    assert g._distances(position(g, n[3])) is tree
+    assert g.k_shortest_paths(n4, n[1], 1) == []  # 1.1's tree now lacks 1.3 and 1.4
     g.set_link_operational(n[2], n[3], True)
+    assert g.k_shortest_paths(n4, n[1], 1) == [[n4, n[3], n[2], n[1]]]
     assert g.k_shortest_paths(n[1], n[3], 1) == [[n[1], n[2], n[3]]]
 
 

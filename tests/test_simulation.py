@@ -183,8 +183,9 @@ class TestRun:
          ("port", ["port holders and DAG disagree at 1.3"]),
          ("add-drop", [f"add/drop holders and DAG disagree at 1.{i}" for i in (2, 3)]),
          ("cell-count", ["reserved_cells is not the held cell count"]),
-         ("busy-mask", ["busy mask and slot grid disagree on 1.2-1.3"])],
-        ids=["slot", "port", "add-drop", "cell-count", "busy-mask"],
+         ("busy-mask", ["busy mask and slot grid disagree on 1.2-1.3"]),
+         ("down-mask", ["down mask and fiber states disagree"])],
+        ids=["slot", "port", "add-drop", "cell-count", "busy-mask", "down-mask"],
     )
     def test_audit_reports_orphan_booking(self, orphan, problems):
         # A booking no DAG leaf claims: the grid and the holders still agree
@@ -202,8 +203,10 @@ class TestRun:
             graph.release_spectrum(graph.link_between(b, c), 8, 8, "orphan")
         elif orphan == "cell-count":
             graph.reserved_cells += 1
-        else:
+        elif orphan == "busy-mask":
             graph.link_between(b, c).busy ^= 1 << 7
+        else:
+            graph._down ^= graph._bits[graph.link_between(b, c).key]
         assert audit_resources({1: ctrl}) == [f"domain 1: {p}" for p in problems]
 
     @pytest.mark.parametrize(
