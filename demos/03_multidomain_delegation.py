@@ -63,6 +63,6 @@ for did in sorted(domains):
 print("--- install")
 d1.install(iid)
 deliver_messages(domains)
-print("outcome:", d1.finalize_install(iid).value)
+print("outcome:", d1.dag.aggregate_state(iid).value)
 for did in sorted(domains):
     print(f"  domain {did} reserved cells:", domains[did].graph.reserved_cells)

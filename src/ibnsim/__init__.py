@@ -29,9 +29,7 @@ from .multidomain import (
     Message,
     compile_crossdomain,
     deliver_messages,
-    finalize_install,
     handle_message,
-    install_crossdomain,
 )
 from .network import (
     DEFAULT_MODE_TABLE,

@@ -12,6 +12,7 @@ verbosity.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -78,12 +79,22 @@ def _load_scenario(path: str):
     return parse_scenario(text)
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """Turn a failure to write under ``out`` into a runtime error."""
+    try:
+        yield
+    except OSError as exc:
+        raise IbnError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
+
+
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     result = Simulation(scenario).run()
-    written = write_run_artifacts(args.out, result)
+    with _writing(args.out):
+        written = write_run_artifacts(args.out, result)
     print(
         f"offered={result.metrics.offered} blocked={result.metrics.blocked} "
         f"installed={result.metrics.installed_ok} "
@@ -144,20 +155,22 @@ def _state_problem(state) -> Optional[str]:
 def _cmd_export_dag(args) -> int:
     state = _read_state(args.state)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for did in sorted(state.get("dags", {})):
-        path = out / f"dag_{did}.dot"
-        path.write_text(dot_from_document(state["dags"][did]))
-        print(f"wrote {path}")
+    with _writing(args.out):
+        out.mkdir(parents=True, exist_ok=True)
+        for did in sorted(state.get("dags", {})):
+            path = out / f"dag_{did}.dot"
+            path.write_text(dot_from_document(state["dags"][did]))
+            print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_export_topology(args) -> int:
     state = _read_state(args.state)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "topology.json"
-    path.write_text(json.dumps(state.get("topology", {}), indent=2, sort_keys=True) + "\n")
+    with _writing(args.out):
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(state.get("topology", {}), indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

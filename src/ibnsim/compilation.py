@@ -38,7 +38,7 @@ class BlockReason(enum.Enum):
 class InstallOutcome(enum.Enum):
     INSTALLED = "installed"
     CONFLICT = "conflict"
-    PENDING = "pending"  # awaiting remote verdicts, resolve via finalize_install
+    PENDING = "pending"  # local leaves booked; delegated ones await their verdicts
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def compile_connectivity(domain, iid) -> CompilationResult:
     """Derive an implementation for a connectivity intent.
 
     Local destinations are served by the intra-domain pipeline below;
-    destinations owned by another domain are delegated through the
-    controller's cross-domain path.  A FAILED intent is recompiled: its
+    destinations owned by another domain are delegated by
+    ``multidomain.compile_crossdomain``.  A FAILED intent is recompiled: its
     previous implementation is torn down first.
     """
     dag = domain.dag
@@ -133,7 +133,7 @@ def compile_connectivity(domain, iid) -> CompilationResult:
     if dst_owner is None:
         return blocked(BlockReason.NO_PATH)
     if dst_owner != domain.id:
-        return domain.compile_crossdomain(iid)
+        return multidomain.compile_crossdomain(domain, iid)
     return _compile_intra(domain, iid, payload)
 
 
@@ -201,10 +201,12 @@ def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
 
 
 def install_intent(domain, iid) -> InstallOutcome:
-    """Reserve every child resource of a compiled intent, all or nothing.
+    """Reserve every local leaf resource of a compiled intent, all or nothing.
 
-    The graph refuses any booking that would overbook a resource; a conflict
-    leaves the graph bit-identical to the pre-call state.
+    Delegated (remote) leaves are skipped: the controller requests them from
+    the neighbors, and the outcome is then PENDING.  The graph refuses any
+    booking that would overbook a resource; a conflict leaves the graph
+    bit-identical to the pre-call state.
     """
     dag = domain.dag
     dag.payload(iid)
@@ -213,15 +215,15 @@ def install_intent(domain, iid) -> InstallOutcome:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected compiled")
 
     graph = domain.graph
-    leaves = dag.leaves_under(iid)
-    if any(isinstance(dag.payload(leaf), RemoteIntent) for leaf in leaves):
-        raise ValueError(f"{iid} has a remote part; use the cross-domain install")
-
     # Book leaf by leaf; a conflict releases what this call booked.
     booked = []
+    outcome = InstallOutcome.INSTALLED
     try:
-        for leaf in leaves:
+        for leaf in dag.leaves_under(iid):
             payload = dag.payload(leaf)
+            if isinstance(payload, RemoteIntent):
+                outcome = InstallOutcome.PENDING
+                continue
             if dag.state(leaf) is not IntentState.COMPILED:
                 continue
             if isinstance(payload, RouterPortIntent):
@@ -235,7 +237,7 @@ def install_intent(domain, iid) -> InstallOutcome:
         return InstallOutcome.CONFLICT
     for leaf, _ in booked:
         dag.transition(leaf, IntentState.INSTALLED)
-    return InstallOutcome.INSTALLED
+    return outcome
 
 
 def _release(graph, leaf, payload) -> None:
@@ -246,24 +248,23 @@ def _release(graph, leaf, payload) -> None:
 
 
 def uninstall_intent(domain, iid) -> None:
-    """Release every resource held by the intent's children.
+    """Release every resource held by the intent's local leaves.
 
-    Legal for installed intents and for failed ones (a failed lightpath keeps
-    its reservations until explicitly uninstalled); leaves return to compiled.
+    Legal while some local leaf is installed or failed (a failed lightpath
+    keeps its reservations until explicitly uninstalled); those leaves return
+    to compiled.  Delegated leaves are left to the controller.
     """
     dag = domain.dag
-    dag.payload(iid)
-    agg = dag.aggregate_state(iid)
-    if agg not in (IntentState.INSTALLED, IntentState.FAILED):
+    holding = [
+        leaf for leaf in dag.leaves_under(iid)
+        if not isinstance(dag.payload(leaf), RemoteIntent)
+        and dag.state(leaf) in (IntentState.INSTALLED, IntentState.FAILED)
+    ]
+    if not holding:
+        agg = dag.aggregate_state(iid)
         raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
-
-    graph = domain.graph
-    for leaf in dag.leaves_under(iid):
-        payload = dag.payload(leaf)
-        state = dag.state(leaf)
-        if state not in (IntentState.INSTALLED, IntentState.FAILED):
-            continue
-        _release(graph, leaf, payload)
+    for leaf in holding:
+        _release(domain.graph, leaf, dag.payload(leaf))
         dag.transition(leaf, IntentState.COMPILED)
 
 
@@ -282,3 +283,9 @@ def teardown_implementation(domain, iid) -> None:
         uninstall_intent(domain, iid)
     for child in dag.children(iid):
         dag.remove_intent(child)
+
+
+# Imported last: multidomain imports this module's names, and
+# compile_connectivity reaches compile_crossdomain through the module
+# attribute at call time.
+from . import multidomain  # noqa: E402

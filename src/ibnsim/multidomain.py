@@ -26,7 +26,7 @@ from .compilation import (
     install_intent,
     uninstall_intent,
 )
-from .errors import UnknownRemoteError, WrongStateError
+from .errors import UnknownRemoteError
 from .intents import (
     ConnectivityIntent,
     IntentDAG,
@@ -181,28 +181,46 @@ class DomainController:
     def compile(self, iid: IntentId) -> CompilationResult:
         return compile_connectivity(self, iid)
 
-    def compile_crossdomain(self, iid: IntentId) -> CompilationResult:
-        return compile_crossdomain(self, iid)
+    def mirrors(self, iid: IntentId) -> list:
+        """(node, RemoteIntent) of every delegated child of ``iid``."""
+        return [
+            (child, self.dag.payload(child))
+            for child in self.dag.children(iid)
+            if isinstance(self.dag.payload(child), RemoteIntent)
+        ]
 
     def has_remote_parts(self, iid: IntentId) -> bool:
-        return any(
-            isinstance(self.dag.payload(c), RemoteIntent)
-            for c in self.dag.children(iid)
-        )
+        return bool(self.mirrors(iid))
 
     def install(self, iid: IntentId) -> InstallOutcome:
-        if self.has_remote_parts(iid):
-            return install_crossdomain(self, iid)
-        return install_intent(self, iid)
+        """Book the local leaves, then ask each neighbor to install its piece.
 
-    def finalize_install(self, iid: IntentId) -> InstallOutcome:
-        return finalize_install(self, iid)
+        Returns PENDING while remote verdicts are outstanding: deliver
+        messages to quiescence, then read the aggregate state.  A verdict
+        that is not installed rolls this level back when it arrives.
+        """
+        outcome = install_intent(self, iid)
+        if outcome is InstallOutcome.PENDING:
+            for child, mirror in self.mirrors(iid):
+                if mirror.remote_id is None:
+                    raise UnknownRemoteError(f"mirror {child} was never acknowledged")
+                self.pending_installs.add(child)
+                self.send(mirror.neighbor, InstallRequest(mirror.remote_id))
+        return outcome
 
-    def uninstall(self, iid: IntentId) -> None:
-        if self.has_remote_parts(iid):
-            uninstall_crossdomain(self, iid)
-        else:
-            uninstall_intent(self, iid)
+    def uninstall(self, iid: IntentId, skip: Optional[IntentId] = None) -> None:
+        """Release the local leaves and ask every neighbor holding a piece,
+        other than the mirror ``skip``, to release it; drops pending verdicts.
+
+        A failed piece keeps its reservations until it is uninstalled.
+        """
+        uninstall_intent(self, iid)
+        for child, mirror in self.mirrors(iid):
+            if child == skip:
+                continue
+            self.pending_installs.discard(child)
+            if self.dag.state(child) in (IntentState.INSTALLED, IntentState.FAILED):
+                self.send(mirror.neighbor, Uninstall(mirror.remote_id))
 
     def remove(self, iid: IntentId) -> None:
         """Remove an intent subtree, withdrawing any delegated parts."""
@@ -332,88 +350,6 @@ def _pick_border(domain, neighbor: int, payload) -> Optional[BorderLink]:
     return best
 
 
-# -- cross-domain installation --------------------------------------------------
-
-
-def install_crossdomain(domain: DomainController, iid: IntentId) -> InstallOutcome:
-    """Install local pieces and request installation of delegated ones.
-
-    Local reservations are transactional; on any local conflict nothing is
-    sent and already-installed local siblings are rolled back.  Returns
-    PENDING while remote verdicts are outstanding: deliver messages to
-    quiescence, then call ``finalize_install``.
-    """
-    dag = domain.dag
-    dag.payload(iid)
-    agg = dag.aggregate_state(iid)
-    if agg is not IntentState.COMPILED:
-        raise WrongStateError(f"intent {iid} is {agg.value}, expected compiled")
-
-    local_children = []
-    remote_children = []
-    for child in dag.children(iid):
-        if isinstance(dag.payload(child), RemoteIntent):
-            remote_children.append(child)
-        else:
-            local_children.append(child)
-
-    for child in local_children:
-        if install_intent(domain, child) is InstallOutcome.CONFLICT:
-            _release_children(domain, iid)
-            return InstallOutcome.CONFLICT
-
-    for child in remote_children:
-        mirror = dag.payload(child)
-        if mirror.remote_id is None:
-            raise UnknownRemoteError(f"mirror {child} was never acknowledged")
-        domain.pending_installs.add(child)
-        domain.send(mirror.neighbor, InstallRequest(mirror.remote_id))
-    return InstallOutcome.PENDING
-
-
-def finalize_install(domain: DomainController, iid: IntentId) -> InstallOutcome:
-    """Resolve a cross-domain install after message quiescence.
-
-    If some mirror did not reach installed, compensate: release local
-    reservations and send UNINSTALL for any remote piece that holds some.
-    """
-    if domain.dag.aggregate_state(iid) is IntentState.INSTALLED:
-        return InstallOutcome.INSTALLED
-    _release_children(domain, iid)
-    return InstallOutcome.CONFLICT
-
-
-def uninstall_crossdomain(domain: DomainController, iid: IntentId) -> None:
-    """Release local reservations and ask neighbors to release delegated ones."""
-    agg = domain.dag.aggregate_state(iid)
-    if agg not in (IntentState.INSTALLED, IntentState.FAILED):
-        raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
-    _release_children(domain, iid)
-
-
-def _release_children(domain: DomainController, parent: IntentId,
-                      skip: Optional[IntentId] = None) -> None:
-    """Release what this delegation level holds for ``parent``.
-
-    For every child but ``skip``: drop any pending install verdict, ask the
-    neighbor to uninstall a delegated piece that is installed or failed, and
-    uninstall a local piece that is installed or failed.  A failed piece
-    keeps its reservations until it is uninstalled.
-    """
-    dag = domain.dag
-    holding = (IntentState.INSTALLED, IntentState.FAILED)
-    for child in dag.children(parent):
-        if child == skip:
-            continue
-        payload = dag.payload(child)
-        if isinstance(payload, RemoteIntent):
-            domain.pending_installs.discard(child)
-            if dag.state(child) in holding:
-                domain.send(payload.neighbor, Uninstall(payload.remote_id))
-        elif dag.aggregate_state(child) in holding:
-            uninstall_intent(domain, child)
-
-
 # -- message handling -----------------------------------------------------------
 
 
@@ -481,7 +417,7 @@ def _handle_state_notify(domain, msg):
 def _compensate_failed_install(domain, mirror_node):
     """A remote install failed: roll back this delegation level locally."""
     parent = domain.dag.parent(mirror_node)
-    _release_children(domain, parent, skip=mirror_node)
+    domain.uninstall(parent, skip=mirror_node)
     # Send the definitive verdict upstream even though the aggregate is
     # back to its pre-install value.
     if parent in domain.origins:
@@ -497,13 +433,8 @@ def _handle_install_request(domain, msg):
     if agg is not IntentState.COMPILED:
         _reply_state(domain, msg.sender, rid)
         return
-    if domain.has_remote_parts(rid):
-        outcome = install_crossdomain(domain, rid)
-        if outcome is InstallOutcome.CONFLICT:
-            _reply_state(domain, msg.sender, rid)
-        # On PENDING the verdict is sent once our own mirrors resolve.
-    else:
-        install_intent(domain, rid)
+    # On PENDING the verdict is sent once our own mirrors resolve.
+    if domain.install(rid) is not InstallOutcome.PENDING:
         _reply_state(domain, msg.sender, rid)
 
 
@@ -513,10 +444,7 @@ def _handle_uninstall(domain, msg):
         raise UnknownRemoteError(f"uninstall for unknown intent {rid}")
     agg = domain.dag.aggregate_state(rid)
     if agg in (IntentState.INSTALLED, IntentState.FAILED):
-        if domain.has_remote_parts(rid):
-            uninstall_crossdomain(domain, rid)
-        else:
-            uninstall_intent(domain, rid)
+        domain.uninstall(rid)
     _reply_state(domain, msg.sender, rid)
 
 

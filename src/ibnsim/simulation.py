@@ -221,14 +221,8 @@ def monitor_repair(domains: dict, a: NodeId, b: NodeId,
     recovered = 0
     if policy == POLICY_AUTO:
         for did in sorted(domains):
-            ctrl = domains[did]
-            failed_roots = [
-                iid
-                for iid in ctrl.dag.roots()
-                if ctrl.dag.aggregate_state(iid) is IntentState.FAILED
-            ]
-            for root in failed_roots:
-                recovered += _attempt_recovery(ctrl, root)
+            for root in domains[did].dag.roots():
+                recovered += _attempt_recovery(domains[did], root)
     return recovered
 
 
@@ -387,11 +381,10 @@ class Simulation:
             and ctrl.dag.aggregate_state(iid) is IntentState.COMPILED
         ):
             record.compile_time = self.now
-            outcome = ctrl.install(iid)
-            if outcome is InstallOutcome.PENDING:
+            # A verdict that is not installed has rolled its level back.
+            if ctrl.install(iid) is InstallOutcome.PENDING:
                 self._deliver()
-                outcome = ctrl.finalize_install(iid)
-            installed = outcome is InstallOutcome.INSTALLED
+            installed = ctrl.dag.aggregate_state(iid) is IntentState.INSTALLED
 
         if installed:
             self.metrics.installed_ok += 1

@@ -134,3 +134,17 @@ def test_impossible_link_event_exits_2(tmp_path, capsys, flips, state):
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.count(f"fiber 1.1-1.2 already {state}") == 2
+
+
+@pytest.mark.parametrize("command", ["run", "export-dag", "export-topology"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    assert main(["run", str(SCENARIOS / "single_link.json"), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    source = SCENARIOS / "single_link.json" if command == "run" else run_dir / "state.json"
+    assert main([command, str(source), "--out", str(blocker)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"ibnsim: cannot write {blocker}: File exists\n"
+    assert captured.out == ""

@@ -19,7 +19,7 @@ from ibnsim.multidomain import (
 from ibnsim.network import NodeId
 
 from .builders import make_domain, make_domains, reserve, snapshot
-from .oracles import free_slots, mirror_mismatches
+from .oracles import free_slots, mirror_mismatches, notification_mismatches
 
 U = IntentState.UNCOMPILED
 C = IntentState.COMPILED
@@ -221,7 +221,7 @@ def installed_crossdomain_intent(domains):
     deliver_messages(domains)
     assert d1.install(iid) is InstallOutcome.PENDING
     deliver_messages(domains)
-    assert d1.finalize_install(iid) is InstallOutcome.INSTALLED
+    assert d1.dag.aggregate_state(iid) is I
     return iid
 
 
@@ -247,7 +247,7 @@ class TestInstallCrossdomain:
         local_snapshot_before = snapshot(d1)
         assert d1.install(iid) is InstallOutcome.PENDING
         deliver_messages(domains)
-        assert d1.finalize_install(iid) is InstallOutcome.CONFLICT
+        assert d1.dag.aggregate_state(iid) is C
         deliver_messages(domains)
         assert snapshot(d1) == local_snapshot_before
         assert d1.dag.aggregate_state(iid) is C
@@ -259,8 +259,51 @@ class TestInstallCrossdomain:
         with pytest.raises(WrongStateError):
             domains[1].install(iid)
 
+    @pytest.mark.parametrize("victim, verdicts", [
+        # D3 refuses: D2 rolls its own segment back and reports upstream.
+        (3, [(1, 2, "installrequest"), (2, 3, "installrequest"),
+             (3, 2, "statenotify"), (2, 1, "statenotify")]),
+        # D2 refuses locally and never asks D3.
+        (2, [(1, 2, "installrequest"), (2, 1, "statenotify")]),
+    ])
+    def test_depth_two_remote_conflict_rolls_back_every_level(self, victim, verdicts):
+        domains = make_domains(
+            sizes={1: 3, 2: 3, 3: 3},
+            borders=[
+                (NodeId(1, 3), NodeId(2, 1), 200.0),
+                (NodeId(2, 3), NodeId(3, 1), 200.0),
+            ],
+        )
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(3, 3), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is C
+        # Steal the victim domain's spectrum between compile and install.
+        for a, b in [(1, 2), (2, 3)]:
+            reserve(domains[victim], NodeId(victim, a), NodeId(victim, b), range(1, 9))
+        assert d1.install(iid) is InstallOutcome.PENDING
+        delivered = deliver_messages(domains)
+        assert [(m.sender, m.receiver, m.kind()) for m in delivered] == verdicts
+        assert d1.dag.aggregate_state(iid) is C
+        for did, ctrl in domains.items():
+            assert ctrl.graph.reserved_cells == (16 if did == victim else 0)
+            assert ctrl.pending_installs == set()
+            assert notification_mismatches(ctrl) == []
+        assert mirror_mismatches(domains) == []
+
 
 class TestTeardown:
+    def test_uninstall_never_installed_is_wrong_state(self):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(2, 5), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        with pytest.raises(WrongStateError,
+                           match=f"intent {iid} is compiled, expected installed/failed"):
+            d1.uninstall(iid)
+
     def test_departure_cleans_both_domains(self):
         domains = two_domains()
         d1, d2 = domains[1], domains[2]
