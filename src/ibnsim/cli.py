@@ -71,12 +71,13 @@ def _configure_logging():
     logging.basicConfig(level=levels.get(level, logging.WARNING))
 
 
-def _load_scenario(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
-    return parse_scenario(text)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -89,7 +90,7 @@ def _writing(out: str):
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read_text(args.scenario))
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     result = Simulation(scenario).run()
@@ -106,18 +107,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _load_scenario(args.scenario)
+    parse_scenario(_read_text(args.scenario))
     print(f"{args.scenario}: ok")
     return EXIT_OK
 
 
 def _read_state(path: str) -> dict:
+    text = _read_text(path)
     try:
-        state = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from None
+        state = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path} is nested too deeply") from None
     problem = _state_problem(state)
     if problem is not None:
         raise ScenarioError(f"{path}: {problem}")

@@ -108,12 +108,12 @@ def first_fit_spectrum(
 
 
 def compile_connectivity(domain, iid) -> CompilationResult:
-    """Derive an implementation for a connectivity intent.
+    """Derive an implementation for an uncompiled connectivity intent.
 
-    Local destinations are served by the intra-domain pipeline below;
-    destinations owned by another domain are delegated by
-    ``multidomain.compile_crossdomain``.  A FAILED intent is recompiled: its
-    previous implementation is torn down first.
+    Any other state, FAILED included, raises WrongStateError: recovery drops
+    a failed piece's children before recompiling it.  Local destinations
+    are served by the intra-domain pipeline below; destinations owned by
+    another domain are delegated by ``multidomain.compile_crossdomain``.
     """
     dag = domain.dag
     payload = dag.payload(iid)
@@ -121,9 +121,7 @@ def compile_connectivity(domain, iid) -> CompilationResult:
         raise WrongStateError(f"intent {iid} is not a connectivity intent")
 
     agg = dag.aggregate_state(iid)
-    if agg is IntentState.FAILED:
-        teardown_implementation(domain, iid)
-    elif agg is not IntentState.UNCOMPILED:
+    if agg is not IntentState.UNCOMPILED:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected uncompiled")
 
     if domain.registry.get(payload.src) != domain.id:
@@ -266,23 +264,6 @@ def uninstall_intent(domain, iid) -> None:
     for leaf in holding:
         _release(domain.graph, leaf, dag.payload(leaf))
         dag.transition(leaf, IntentState.COMPILED)
-
-
-def teardown_implementation(domain, iid) -> None:
-    """Drop an intent's children, which leaves it uncompiled: its stored
-    state is never written while it has children.
-
-    Releases reservations first when needed.  Refuses intents with remote
-    parts: delegated implementations are torn down by the controller, which
-    must notify the neighbor.
-    """
-    dag = domain.dag
-    if domain.has_remote_parts(iid):
-        raise ValueError(f"{iid} has remote parts; tear down via the controller")
-    if dag.aggregate_state(iid) in (IntentState.INSTALLED, IntentState.FAILED):
-        uninstall_intent(domain, iid)
-    for child in dag.children(iid):
-        dag.remove_intent(child)
 
 
 # Imported last: multidomain imports this module's names, and

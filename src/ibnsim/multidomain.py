@@ -1,14 +1,14 @@
 """Decentralized coordination between autonomous domain controllers.
 
 Each controller owns one domain's graph (its booking record) and intent DAG,
-and exchanges ordered messages with its neighbors through per-pair mailboxes.
+and exchanges ordered messages with its neighbors through its one outbox.
 Cross-domain connectivity is split at a border link: the local piece is
 compiled in place while the rest is delegated to the next-hop neighbor, which
 may recursively delegate further.  A RemoteIntent leaf mirrors the delegated
 intent's aggregate state via STATE_NOTIFY messages.
 
 Message handling is synchronous and deterministic: ``deliver_messages`` drains
-all mailboxes in ascending (sender id, sequence) order until quiescence.
+all outboxes in ascending (sender id, sequence) order until quiescence.
 """
 
 import logging
@@ -131,7 +131,7 @@ class DomainController:
     registry: dict = field(default_factory=dict)  # NodeId -> owning domain id
     border_links: list = field(default_factory=list)
     neighbor_hops: dict = field(default_factory=dict)  # neighbor -> {domain: hops}
-    outboxes: dict = field(default_factory=dict)  # neighbor -> deque[Message]
+    outbox: deque = field(default_factory=deque)  # Messages in seq order
 
     # Coordination bookkeeping.
     origins: dict = field(default_factory=dict)  # delegated id -> delegator domain
@@ -170,7 +170,7 @@ class DomainController:
     def send(self, receiver: int, body) -> Message:
         self._seq += 1
         msg = Message(self.id, receiver, self._seq, body)
-        self.outboxes.setdefault(receiver, deque()).append(msg)
+        self.outbox.append(msg)
         return msg
 
     # -- intent operations ---------------------------------------------------
@@ -188,9 +188,6 @@ class DomainController:
             for child in self.dag.children(iid)
             if isinstance(self.dag.payload(child), RemoteIntent)
         ]
-
-    def has_remote_parts(self, iid: IntentId) -> bool:
-        return bool(self.mirrors(iid))
 
     def install(self, iid: IntentId) -> InstallOutcome:
         """Book the local leaves, then ask each neighbor to install its piece.
@@ -238,19 +235,15 @@ class DomainController:
 
     # -- state notification --------------------------------------------------
 
-    def flush_notifications(self, touched: Optional[IntentId] = None) -> None:
-        """Notify delegators whose delegated intents changed aggregate state."""
-        if touched is None:
-            candidates = set(self.origins)
-        else:
-            if touched not in self.dag.nodes:
-                return
-            candidates = [n for n in self.dag.lineage(touched) if n in self.origins]
-        for iid in sorted(candidates):
-            state = self.dag.aggregate_state(iid)
-            if self.last_notified.get(iid) != state:
-                self.last_notified[iid] = state
-                self.send(self.origins[iid], StateNotify(iid, state))
+    def flush_notifications(self, touched: IntentId) -> None:
+        """Notify the delegator of ``touched``'s root (delegated intents are
+        roots) if the root's aggregate state changed since it last heard."""
+        root = self.dag.lineage(touched)[-1]
+        if root in self.origins:
+            state = self.dag.aggregate_state(root)
+            if self.last_notified.get(root) != state:
+                self.last_notified[root] = state
+                self.send(self.origins[root], StateNotify(root, state))
 
 
 # -- cross-domain compilation -------------------------------------------------
@@ -465,25 +458,23 @@ def _reply_state(domain, receiver, rid):
 
 
 def deliver_messages(domains: dict) -> list:
-    """Drain every outbound mailbox to quiescence; returns delivered messages.
+    """Drain every outbox to quiescence; returns delivered messages.
 
-    Each round collects all pending messages, sorts them by (sender id, seq),
-    and hands them to their receivers; replies join the next round.  Within
-    one simulation timestamp this always terminates: every protocol exchange
-    is a finite request/metric/verdict chain.
+    Each round empties the outboxes in domain-id order, which is (sender id,
+    seq) order because each outbox holds its sender's messages in seq order,
+    and hands the messages to their receivers; replies join the next round.
+    Within one simulation timestamp this always terminates: every protocol
+    exchange is a finite request/metric/verdict chain.
     """
+    senders = [domains[did] for did in sorted(domains)]
     delivered = []
     while True:
         pending = []
-        for did in sorted(domains):
-            sender = domains[did]
-            for receiver in sorted(sender.outboxes):
-                queue = sender.outboxes[receiver]
-                while queue:
-                    pending.append(queue.popleft())
+        for sender in senders:
+            pending += sender.outbox
+            sender.outbox.clear()
         if not pending:
             return delivered
-        pending.sort(key=lambda m: (m.sender, m.seq))
         for msg in pending:
             handle_message(domains[msg.receiver], msg)
             delivered.append(msg)

@@ -247,6 +247,8 @@ def parse_scenario(document) -> Scenario:
             raise ScenarioParseError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise ScenarioParseError("JSON is nested too deeply") from None
     elif isinstance(document, dict):
         raw = document
     else:

@@ -28,6 +28,7 @@ from .compilation import (
     compile_connectivity,
     compile_probe,
     install_intent,
+    uninstall_intent,
 )
 from .errors import ConservationError, InvalidConfigError, LinkStateError, UnknownLinkError
 from .intents import ConnectivityIntent, IntentId, IntentState, RemoteIntent
@@ -193,9 +194,8 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
         ctrl = domains[did]
         link = ctrl.graph.link_between(a, b)
         if link is None:
-            # Nothing changed here, and between events every delegator has
-            # heard the current aggregate, so a flush would send nothing.
             continue
+        failed = []
         holders = {h for h in link.slot_grid if h is not None}
         # Ids are never reused, so sorted ids follow DAG insertion order.
         for iid in sorted(holders):
@@ -203,14 +203,18 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
                 continue
             ctrl.dag.transition(iid, IntentState.FAILED)
             root = ctrl.dag.lineage(iid)[-1]
-            if (did, root) not in affected:
-                affected.append((did, root))
-        ctrl.flush_notifications()
+            if root not in failed:
+                failed.append(root)
+        # Between events every delegator has heard the current aggregate,
+        # so only the roots failed here can have news for one.
+        for root in sorted(failed):
+            ctrl.flush_notifications(root)
+        affected += [(ctrl, root) for root in failed]
 
     recovered = 0
     if policy == POLICY_AUTO:
-        for did, root in affected:
-            recovered += _attempt_recovery(domains[did], root)
+        for ctrl, root in affected:
+            recovered += _attempt_recovery(ctrl, root)
     return recovered
 
 
@@ -242,54 +246,49 @@ def _set_link_state(domains, a, b, up: bool) -> None:
 
 
 def _attempt_recovery(ctrl: DomainController, root) -> int:
-    """Recompile what failed under ``root``; returns 1 when it reinstalls.
+    """Rebuild the failed local piece of ``root``; returns 1 when the root
+    is installed again.
 
-    A feasibility probe runs first, treating the intent's own holdings as
-    free; only a feasible recompilation tears the old implementation down,
-    so infeasible intents keep their reservations and stay failed.  For an
-    intent with delegated parts only the failed local pieces are rebuilt;
-    remote failures are recovered by the domain that owns them.
+    The local piece is the root itself or, when the root has delegated
+    parts, its one child that is not a mirror; remote failures are
+    recovered by the domain that owns them.  A feasibility probe runs
+    first, counting the piece's own leaves as free.  Only a feasible piece
+    is released, stripped of its children, recompiled and reinstalled, so
+    an infeasible one keeps its reservations and stays failed.
     """
     dag = ctrl.dag
-    if root not in dag.nodes or dag.aggregate_state(root) is not IntentState.FAILED:
+    # A failed piece fails its root, and most roots handed in are fine.
+    if dag.aggregate_state(root) is not IntentState.FAILED:
+        return 0
+    piece = root
+    if ctrl.mirrors(root):
+        piece = next(c for c in dag.children(root)
+                     if not isinstance(dag.payload(c), RemoteIntent))
+        if dag.aggregate_state(piece) is not IntentState.FAILED:
+            return 0
+    payload = dag.payload(piece)
+    feasible = compile_probe(
+        ctrl,
+        payload.src,
+        payload.dst,
+        payload.rate,
+        excluded_links=payload.excluded_links(),
+        as_free=dag.leaves_under(piece),
+    )
+    if not feasible:
         return 0
 
-    if ctrl.has_remote_parts(root):
-        units = [
-            child
-            for child in dag.children(root)
-            if not isinstance(dag.payload(child), RemoteIntent)
-            and dag.aggregate_state(child) is IntentState.FAILED
-        ]
-    else:
-        units = [root]
-    if not units:
+    uninstall_intent(ctrl, piece)
+    for child in dag.children(piece):
+        dag.remove_intent(child)
+    compile_connectivity(ctrl, piece)
+    ctrl.flush_notifications(piece)
+    install_intent(ctrl, piece)
+    ctrl.flush_notifications(piece)
+    if dag.aggregate_state(root) is not IntentState.INSTALLED:
         return 0
-
-    recovered_all = True
-    for unit in units:
-        payload = dag.payload(unit)
-        held = set(dag.leaves_under(unit))
-        feasible = compile_probe(
-            ctrl,
-            payload.src,
-            payload.dst,
-            payload.rate,
-            excluded_links=payload.excluded_links(),
-            as_free=held,
-        )
-        if not feasible:
-            recovered_all = False
-            continue
-        compile_connectivity(ctrl, unit)
-        ctrl.flush_notifications(unit)
-        install_intent(ctrl, unit)
-        ctrl.flush_notifications(unit)
-
-    if recovered_all and dag.aggregate_state(root) is IntentState.INSTALLED:
-        log.debug("domain %d recovered intent %s", ctrl.id, root)
-        return 1
-    return 0
+    log.debug("domain %d recovered intent %s", ctrl.id, root)
+    return 1
 
 
 # -- engine ---------------------------------------------------------------------

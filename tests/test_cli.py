@@ -148,3 +148,21 @@ def test_unwritable_out_exits_3(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == f"ibnsim: cannot write {blocker}: File exists\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "export-dag", "export-topology"])
+@pytest.mark.parametrize(
+    "content, problem",
+    [(b'\xff{"schema": 1}', "is not UTF-8 text"),
+     (b"[" * 100_000 + b"]" * 100_000, "nested too deeply")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_undecodable_input_exits_2_with_one_line(tmp_path, capsys, command, content, problem):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("ibnsim: ")
+    assert problem in err
+    assert not (tmp_path / "out").exists()

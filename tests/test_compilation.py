@@ -192,6 +192,22 @@ class TestCompileConnectivity:
         with pytest.raises(WrongStateError):
             compile_connectivity(ctrl, iid)
 
+    def test_failed_intent_is_wrong_state(self):
+        ctrl = make_domain(nodes=2)
+        chain(ctrl, [100.0])
+        iid = compiled_intent(ctrl, NodeId(1, 1), NodeId(1, 2))
+        install_intent(ctrl, iid)
+        lightpath = next(
+            c for c in ctrl.dag.children(iid)
+            if isinstance(ctrl.dag.payload(c), LightpathIntent)
+        )
+        ctrl.dag.transition(lightpath, IntentState.FAILED)
+        before = snapshot(ctrl)
+        with pytest.raises(WrongStateError, match="failed, expected uncompiled"):
+            compile_connectivity(ctrl, iid)
+        assert snapshot(ctrl) == before
+        assert ctrl.dag.aggregate_state(iid) is IntentState.FAILED
+
     def test_not_local_source(self):
         ctrl = make_domain(nodes=2)
         chain(ctrl, [100.0])

@@ -404,6 +404,71 @@ class TestFailuresAcrossDomains:
             assert ctrl.graph.reserved_cells == 0
             assert not ctrl.dag.nodes
 
+    def test_border_source_remote_failure_without_backup_changes_nothing_local(self):
+        from ibnsim.simulation import monitor_failure, monitor_repair
+
+        domains = two_domains()
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 3), NodeId(2, 5), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        assert d1.install(iid) is InstallOutcome.PENDING
+        deliver_messages(domains)
+        # The source sits on the border, so the local piece is a port.
+        assert payload_kinds(d1, iid) == ["RemoteIntent", "RouterPortIntent"]
+        assert d1.dag.aggregate_state(iid) is I
+        before = snapshot(d1)
+        assert monitor_failure(domains, NodeId(2, 1), NodeId(2, 2)) == 0
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is IntentState.FAILED
+        assert snapshot(d1) == before
+        assert mirror_mismatches(domains) == []
+        # On repair domain 1 sees a failed root whose local port is fine;
+        # only domain 2 rebuilds its piece.
+        assert monitor_repair(domains, NodeId(2, 1), NodeId(2, 2)) == 1
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is I
+        assert snapshot(d1) == before
+        assert mirror_mismatches(domains) == []
+
+    def test_shared_fiber_failure_notifies_in_delegated_id_order(self):
+        from ibnsim.simulation import POLICY_NONE, monitor_failure
+
+        # D1(n1..n3) -- n3~n1 -- D2(n1..n3), plus a 150 km D2 fiber n1-n3.
+        domains = make_domains(sizes={1: 3, 2: 3}, borders=[(NodeId(1, 3), NodeId(2, 1), 300.0)])
+        d1, d2 = domains[1], domains[2]
+        d2.graph.add_fiber_link(NodeId(2, 1), NodeId(2, 3), 150.0)
+        roots = []
+        for dst in (NodeId(2, 3), NodeId(2, 2)):
+            iid = d1.add_intent(ConnectivityIntent(NodeId(1, 3), dst, 100))
+            d1.compile(iid)
+            deliver_messages(domains)
+            d1.install(iid)
+            deliver_messages(domains)
+            assert d1.dag.aggregate_state(iid) is I
+            roots.append(iid)
+        first, second = sorted(d2.dag.roots())
+        # Moving the first delegated intent onto n1-n2-n3 gives it a newer
+        # lightpath than the second one's on n1-n2, so holder order on
+        # n1-n2 is the reverse of delegated-id order.
+        assert monitor_failure(domains, NodeId(2, 1), NodeId(2, 3)) == 1
+        deliver_messages(domains)
+        lightpaths = [
+            leaf for root in (first, second) for leaf in d2.dag.leaves_under(root)
+            if isinstance(d2.dag.payload(leaf), LightpathIntent)
+        ]
+        assert lightpaths == sorted(lightpaths, reverse=True)
+
+        assert monitor_failure(domains, NodeId(2, 1), NodeId(2, 2), policy=POLICY_NONE) == 0
+        notified = [
+            msg.body.remote_id for msg in deliver_messages(domains)
+            if isinstance(msg.body, StateNotify)
+        ]
+        assert notified == [first, second]
+        for iid in roots:
+            assert d1.dag.aggregate_state(iid) is IntentState.FAILED
+        assert mirror_mismatches(domains) == []
+
     def test_local_segment_failure_recovers_without_touching_remote(self):
         from ibnsim.simulation import monitor_failure
 

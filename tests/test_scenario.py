@@ -73,6 +73,10 @@ class TestParseScenario:
         with pytest.raises(ScenarioParseError, match="line"):
             parse_scenario("{not json")
 
+    def test_deeply_nested_text_is_parse_error(self):
+        with pytest.raises(ScenarioParseError, match="nested too deeply"):
+            parse_scenario("[" * 100_000 + "]" * 100_000)
+
     def test_unknown_node_in_link(self):
         doc = {
             "schema": 1,
