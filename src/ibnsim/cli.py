@@ -89,8 +89,16 @@ def _writing(out: str):
         raise IbnError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
 
 
+def _read_scenario(path: str):
+    text = _read_text(path)
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
-    scenario = parse_scenario(_read_text(args.scenario))
+    scenario = _read_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     result = Simulation(scenario).run()
@@ -107,7 +115,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    parse_scenario(_read_text(args.scenario))
+    _read_scenario(args.scenario)
     print(f"{args.scenario}: ok")
     return EXIT_OK
 

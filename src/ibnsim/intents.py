@@ -17,7 +17,7 @@ from .errors import (
     StillInstalledError,
     UnknownIntentError,
 )
-from .network import NodeId, TransmissionMode
+from .network import NodeId, TransmissionMode, link_key
 
 
 class IntentState(enum.Enum):
@@ -84,8 +84,8 @@ class ConnectivityIntent:
             raise InvalidPayloadError(f"connectivity rate must be > 0, got {self.rate}")
 
     def excluded_links(self) -> set:
-        from .network import link_key
-
+        if not self.constraints:
+            return set()
         return {
             link_key(c.a, c.b) for c in self.constraints if isinstance(c, ExcludeLink)
         }
@@ -170,10 +170,14 @@ class IntentDAG:
     Identifiers are (domain, counter) pairs and are never reused within one
     DAG.  Parent -> child edges connect logical intents to the low-level
     intents implementing them; every intent has at most one parent.
+    ``failed`` indexes the ids whose stored state is FAILED: ``transition``
+    is its only writer and ``remove_intent`` drops removed ids, so every
+    root whose aggregate is FAILED has an indexed leaf below it.
     """
 
     domain: int = 0
     nodes: dict = field(default_factory=dict)  # IntentId -> IntentNode
+    failed: set = field(default_factory=set)  # IntentId
     _counter: int = 0
 
     # -- structure ---------------------------------------------------------
@@ -247,6 +251,10 @@ class IntentDAG:
                 f"illegal transition {node.state.value} -> {to.value} for {iid}"
             )
         node.state = to
+        if to is IntentState.FAILED:
+            self.failed.add(iid)
+        else:
+            self.failed.discard(iid)
         return to
 
     def aggregate_state(self, iid: IntentId) -> IntentState:
@@ -285,4 +293,5 @@ class IntentDAG:
             self.nodes[parent].children.remove(iid)
         for node in removed:
             del self.nodes[node]
+        self.failed.difference_update(removed)
         return set(removed)

@@ -139,6 +139,10 @@ class NetworkGraph:
     # add_fiber_link clear them.
     _routes: dict = field(default_factory=dict, repr=False)
     _dists: dict = field(default_factory=dict, repr=False)
+    # Node tuple -> (its fibers, their km summed left to right).  Fibers are
+    # never removed and their lengths never change, so an entry holds until
+    # add_node or add_fiber_link clears it; a broken path is never stored.
+    _fibers: dict = field(default_factory=dict, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -170,6 +174,7 @@ class NetworkGraph:
         self._index = None
         self._routes.clear()
         self._dists.clear()
+        self._fibers.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -184,17 +189,25 @@ class NetworkGraph:
 
         Raises BrokenPathError when some hop has no fiber.
         """
-        nodes = list(path)
-        links = []
-        for a, b in zip(nodes, nodes[1:]):
-            link = self.link_between(a, b)
-            if link is None:
-                raise BrokenPathError(f"no fiber between {a} and {b}")
-            links.append(link)
-        return links
+        return list(self._path_fibers(path)[0])
 
     def path_length(self, path: Iterable[NodeId]) -> float:
-        return sum(link.length for link in self.path_links(path))
+        return self._path_fibers(path)[1]
+
+    def _path_fibers(self, path: Iterable[NodeId]) -> tuple:
+        """(fibers of ``path``, their km), memoized per node tuple."""
+        nodes = tuple(path)
+        memo = self._fibers.get(nodes)
+        if memo is None:
+            links = []
+            for a, b in zip(nodes, nodes[1:]):
+                link = self.link_between(a, b)
+                if link is None:
+                    raise BrokenPathError(f"no fiber between {a} and {b}")
+                links.append(link)
+            links = tuple(links)
+            memo = self._fibers[nodes] = (links, sum(link.length for link in links))
+        return memo
 
     def set_link_operational(self, a: NodeId, b: NodeId, up: bool) -> FiberLink:
         link = self.link_between(a, b)
@@ -256,13 +269,19 @@ class NetworkGraph:
         fails, changing nothing, if some slot is not held by ``current``."""
         if not 1 <= start <= end <= self.slot_count:
             raise ValueError(f"slots {start}-{end} outside a grid of {self.slot_count}")
-        for link in links:
-            for slot in range(start, end + 1):
-                if link.slot_grid[slot - 1] != current:
-                    raise BookingConflictError(f"slot {slot} on {link.key} held by "
-                                               f"{link.slot_grid[slot - 1]}, not {current}")
         width = end - start + 1
         mask = ((1 << width) - 1) << (start - 1)
+        if current is None:
+            refused = any(link.busy & mask for link in links)
+        else:
+            refused = any(link.slot_grid[start - 1:end].count(current) != width
+                          for link in links)
+        if refused:  # find the first slot at fault, for the message
+            for link in links:
+                for slot in range(start, end + 1):
+                    if link.slot_grid[slot - 1] != current:
+                        raise BookingConflictError(f"slot {slot} on {link.key} held by "
+                                                   f"{link.slot_grid[slot - 1]}, not {current}")
         for link in links:
             link.slot_grid[start - 1:end] = [holder] * width
             link.busy = link.busy | mask if holder is not None else link.busy & ~mask

@@ -225,7 +225,11 @@ def monitor_repair(domains: dict, a: NodeId, b: NodeId,
     recovered = 0
     if policy == POLICY_AUTO:
         for did in sorted(domains):
-            for root in domains[did].dag.roots():
+            dag = domains[did].dag
+            # Only the roots of failed leaves can be failed, and no root
+            # fails during recovery.  Ids are never reused, so sorted ids
+            # follow DAG insertion order.
+            for root in sorted({dag.lineage(leaf)[-1] for leaf in dag.failed}):
                 recovered += _attempt_recovery(domains[did], root)
     return recovered
 

@@ -189,7 +189,8 @@ def audit_resources(domains):
     installed or failed leaf of the domain's DAG, and every such leaf must
     hold what it claims.  Each fiber's ``busy`` mask must index exactly the
     held cells of its slot grid, the graph's ``_down`` mask exactly its down
-    fibers, and every delegator must have been told
+    fibers, the DAG's failed-leaf index exactly its failed intents
+    (``failed_index_mismatches``), and every delegator must have been told
     the current aggregate of what it delegated (``notification_mismatches``).
     Returns a list of violation strings; empty means every no-overbooking,
     contiguity, continuity, reach and notification invariant holds.
@@ -271,7 +272,40 @@ def audit_resources(domains):
                         )
             if length > payload.mode.reach:
                 problems.append(f"domain {did}: {iid} exceeds mode reach")
+        problems += [f"domain {did}: {p}" for p in failed_index_mismatches(ctrl)]
         problems += [f"domain {did}: {p}" for p in notification_mismatches(ctrl)]
+    return problems
+
+
+def failed_index_mismatches(ctrl):
+    """Disagreements between ``IntentDAG.failed`` and the stored states:
+    an indexed id that is not a failed intent, a failed leaf left out, and
+    a root whose aggregate is FAILED that no indexed leaf lies below, which
+    link-up recovery would never visit."""
+    from ibnsim.intents import IntentState
+
+    dag = ctrl.dag
+    problems = []
+    for iid in sorted(dag.failed):
+        node = dag.nodes.get(iid)
+        if node is None:
+            problems.append(f"failed index holds {iid}, which is not in the DAG")
+        elif node.state is not IntentState.FAILED:
+            problems.append(f"failed index holds {iid}, which is {node.state.value}")
+    reached = set()
+    for iid, node in dag.nodes.items():
+        if node.children or node.state is not IntentState.FAILED:
+            continue
+        if iid not in dag.failed:
+            problems.append(f"failed leaf {iid} is missing from the failed index")
+            continue
+        while node.parent is not None:
+            iid, node = node.parent, dag.nodes[node.parent]
+        reached.add(iid)
+    for iid, node in dag.nodes.items():
+        if (node.parent is None and iid not in reached
+                and dag.aggregate_state(iid) is IntentState.FAILED):
+            problems.append(f"failed root {iid} has no indexed leaf below it")
     return problems
 
 

@@ -166,3 +166,19 @@ def test_undecodable_input_exits_2_with_one_line(tmp_path, capsys, command, cont
     assert len(err.splitlines()) == 1 and err.startswith("ibnsim: ")
     assert problem in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "content, problem",
+    [(b'{"schema": ', "invalid JSON at line 1, column 12: Expecting value"),
+     (b"[" * 100_000 + b"]" * 100_000, "JSON is nested too deeply")],
+    ids=["truncated", "nested-too-deep"],
+)
+def test_scenario_parse_error_names_the_file(tmp_path, capsys, command, content, problem):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + out) == 2
+    assert capsys.readouterr().err == f"ibnsim: {path}: {problem}\n"
+    assert not (tmp_path / "out").exists()

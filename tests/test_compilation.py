@@ -419,6 +419,28 @@ class TestBooking:
             graph.release_lightpath(path, (1, 4), "b")
         assert snapshot(ctrl) == before
 
+    def test_refused_booking_of_a_partly_held_block_changes_nothing(self):
+        # The first fiber of the path is free or fully held; only the second
+        # holds part of the block, so the refusal comes after a fiber that
+        # alone would have passed.
+        ctrl = make_domain(nodes=3)
+        chain(ctrl, [100.0, 100.0])
+        graph = ctrl.graph
+        path = (NodeId(1, 1), NodeId(1, 2), NodeId(1, 3))
+        second = graph.link_between(*path[1:])
+        graph.reserve_spectrum(second, 3, 3, "a")
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError, match="slot 3 on .* held by a, not None"):
+            graph.reserve_lightpath(path, (1, 4), "b")
+        assert snapshot(ctrl) == before
+        graph.release_spectrum(second, 3, 3, "a")
+        graph.reserve_lightpath(path, (1, 4), "a")
+        graph.release_spectrum(second, 3, 4, "a")
+        before = snapshot(ctrl)
+        with pytest.raises(BookingConflictError, match="slot 3 on .* held by None, not a"):
+            graph.release_lightpath(path, (1, 4), "a")
+        assert snapshot(ctrl) == before
+
     @staticmethod
     def single_link():
         ctrl = make_domain(nodes=2)

@@ -10,7 +10,7 @@ from ibnsim.errors import (
 )
 from ibnsim.network import NetworkGraph, NodeId, OxcView, RouterView, link_key
 
-from .oracles import eager_yen, free_slots, free_slots_on_path, ranked_paths
+from .oracles import eager_yen, free_slots, free_slots_on_path, path_length, ranked_paths
 
 
 def make_graph(slot_count=8):
@@ -281,6 +281,48 @@ def test_route_memo_answers_like_a_cold_graph(graph_nodes, data):
             assert answer == cold.k_shortest_paths(src, dst, k, exclude_links=exclude)
             if went_down:
                 assert answer == ranked_paths(g, src, dst, k, exclude)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(), st.data())
+def test_path_memo_answers_like_a_cold_graph(graph_nodes, data):
+    # The same paths are asked after every step, so each answer memoized
+    # under one topology is read again under the next.  A path with a hop
+    # that has no fiber raises on every call, and is asked again after the
+    # fiber it lacks may have been added.
+    g, nodes = graph_nodes
+    path = st.lists(st.sampled_from(nodes), min_size=1, max_size=4)
+    paths = data.draw(st.lists(path, min_size=1, max_size=4), label="paths")
+    steps = data.draw(st.lists(st.sampled_from(["node", "fiber", "flip"]), max_size=4),
+                      label="steps")
+    for step in [None] + steps:
+        if step == "node":
+            nodes.append(add_node(g, len(nodes) + 1))
+        elif step == "fiber":
+            missing = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]
+                       if g.link_between(a, b) is None]
+            if missing:
+                a, b = data.draw(st.sampled_from(missing), label="new fiber")
+                g.add_fiber_link(a, b, data.draw(st.floats(0.1, 500.0), label="km"))
+        elif step == "flip" and g.fiber_links:
+            link = g.fiber_links[data.draw(st.sampled_from(list(g.fiber_links)), label="flip")]
+            g.set_link_operational(*link.endpoints, not link.operational)
+        cold = cold_copy(g)
+        for p in paths:
+            try:
+                keys = [link.key for link in cold.path_links(p)]
+            except BrokenPathError:
+                for _ in range(2):
+                    with pytest.raises(BrokenPathError):
+                        g.path_links(p)
+                    with pytest.raises(BrokenPathError):
+                        g.path_length(p)
+                continue
+            for _ in range(2):
+                links = g.path_links(p)
+                assert [link.key for link in links] == keys
+                assert all(g.fiber_links[link.key] is link for link in links)
+                assert g.path_length(p) == cold.path_length(p) == path_length(g, p)
 
 
 # -- A* spur searches ----------------------------------------------------------

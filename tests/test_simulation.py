@@ -184,14 +184,18 @@ class TestRun:
          ("add-drop", [f"add/drop holders and DAG disagree at 1.{i}" for i in (2, 3)]),
          ("cell-count", ["reserved_cells is not the held cell count"]),
          ("busy-mask", ["busy mask and slot grid disagree on 1.2-1.3"]),
-         ("down-mask", ["down mask and fiber states disagree"])],
-        ids=["slot", "port", "add-drop", "cell-count", "busy-mask", "down-mask"],
+         ("down-mask", ["down mask and fiber states disagree"]),
+         ("failed-index-stale", ["failed index holds 1#4, which is installed"]),
+         ("failed-index-missing", ["failed leaf 1#4 is missing from the failed index",
+                                   "failed root 1#1 has no indexed leaf below it"])],
+        ids=["slot", "port", "add-drop", "cell-count", "busy-mask", "down-mask",
+             "failed-index-stale", "failed-index-missing"],
     )
     def test_audit_reports_orphan_booking(self, orphan, problems):
         # A booking no DAG leaf claims: the grid and the holders still agree
         # with each other, so only a check against the DAG can see it.
         ctrl, a, b, c = triangle_domain()
-        installed(ctrl, a, b)
+        lightpath = ctrl.dag.leaves_under(installed(ctrl, a, b))[-1]
         assert audit_resources({1: ctrl}) == []
         graph = ctrl.graph
         if orphan == "slot":
@@ -205,8 +209,13 @@ class TestRun:
             graph.reserved_cells += 1
         elif orphan == "busy-mask":
             graph.link_between(b, c).busy ^= 1 << 7
-        else:
+        elif orphan == "down-mask":
             graph._down ^= graph._bits[graph.link_between(b, c).key]
+        elif orphan == "failed-index-stale":
+            ctrl.dag.failed.add(lightpath)
+        else:
+            ctrl.dag.transition(lightpath, IntentState.FAILED)
+            ctrl.dag.failed.discard(lightpath)
         assert audit_resources({1: ctrl}) == [f"domain 1: {p}" for p in problems]
 
     @pytest.mark.parametrize(
