@@ -89,10 +89,8 @@ def first_fit_spectrum(
     busy = 0
     for link in graph.path_links(path):
         held = link.busy
-        if as_free and held:
-            for i, holder in enumerate(link.slot_grid):
-                if holder in as_free:
-                    held &= ~(1 << i)
+        for holder in as_free:
+            held &= ~link.holders.get(holder, 0)
         busy |= held
     free = ~busy & ((1 << graph.slot_count) - 1)
     fits = free

@@ -76,11 +76,7 @@ def export_topology(domains: dict) -> dict:
         links = []
         for key in sorted(graph.fiber_links):
             link = graph.fiber_links[key]
-            holders = {
-                str(slot): str(holder)
-                for slot, holder in enumerate(link.slot_grid, start=1)
-                if holder is not None
-            }
+            holders = {str(slot): str(holder) for slot, holder in link.slot_holders().items()}
             links.append(
                 {
                     "a": str(key[0]),

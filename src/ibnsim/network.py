@@ -93,28 +93,37 @@ class OxcView:
 class FiberLink:
     """Bidirectional fiber with a shared spectrum-slot grid.
 
-    slot_grid[i] holds the intent id occupying slot i+1, or None when free;
-    one reservation covers both directions.  ``busy`` indexes the grid: bit i
-    is set exactly when slot i+1 is held, and only ``NetworkGraph._rebook``
-    writes it.
+    ``holders`` maps each intent id holding slots here to its slot mask, bit
+    i standing for slot i+1; one reservation covers both directions.  The
+    masks are nonzero and disjoint, ``busy`` is their OR, and only
+    ``NetworkGraph._rebook`` writes either.
     """
 
     endpoints: tuple[NodeId, NodeId]
     length: float  # km
-    slot_grid: list
     operational: bool = True
     busy: int = 0
+    holders: dict = field(default_factory=dict)  # intent id -> slot mask
 
     @property
     def key(self) -> LinkKey:
         return link_key(*self.endpoints)
+
+    def slot_holders(self) -> dict:
+        """Held slot -> its holder; free slots are absent."""
+        owner = {}
+        for holder, mask in self.holders.items():
+            while mask:
+                owner[(mask & -mask).bit_length()] = holder
+                mask &= mask - 1
+        return owner
 
 
 @dataclass
 class NetworkGraph:
     """Mutable two-layer topology of one domain.
 
-    The only booking record: slot grids, port holders and add/drop holders
+    The only booking record: slot holders, port holders and add/drop holders
     change through the reserve/release methods below, which refuse to book
     what is held and to release what another intent holds.  Single-writer:
     all mutations happen on the owning domain controller's event thread.
@@ -164,7 +173,7 @@ class NetworkGraph:
         key = link_key(a, b)
         if key in self.fiber_links:
             raise DuplicateLinkError(f"fiber {a}-{b} already present")
-        link = FiberLink((a, b), float(length), [None] * self.slot_count)
+        link = FiberLink((a, b), float(length))
         self.fiber_links[key] = link
         self._bits[key] = 1 << len(self._bits)
         self._reindex()
@@ -265,26 +274,27 @@ class NetworkGraph:
             oxc.add_drop_holders.remove(holder)
 
     def _rebook(self, links, start: int, end: int, current, holder) -> None:
-        """Move slots start..end of every link from ``current`` to ``holder``;
-        fails, changing nothing, if some slot is not held by ``current``."""
+        """Move slots start..end of every link from ``current`` to ``holder``,
+        one of which is None; fails, changing nothing, if some slot is not
+        held by ``current``."""
         if not 1 <= start <= end <= self.slot_count:
             raise ValueError(f"slots {start}-{end} outside a grid of {self.slot_count}")
         width = end - start + 1
         mask = ((1 << width) - 1) << (start - 1)
-        if current is None:
-            refused = any(link.busy & mask for link in links)
-        else:
-            refused = any(link.slot_grid[start - 1:end].count(current) != width
-                          for link in links)
-        if refused:  # find the first slot at fault, for the message
-            for link in links:
-                for slot in range(start, end + 1):
-                    if link.slot_grid[slot - 1] != current:
-                        raise BookingConflictError(f"slot {slot} on {link.key} held by "
-                                                   f"{link.slot_grid[slot - 1]}, not {current}")
         for link in links:
-            link.slot_grid[start - 1:end] = [holder] * width
-            link.busy = link.busy | mask if holder is not None else link.busy & ~mask
+            fault = mask & (link.busy if current is None else ~link.holders.get(current, 0))
+            if fault:
+                slot = (fault & -fault).bit_length()
+                raise BookingConflictError(f"slot {slot} on {link.key} held by "
+                                           f"{link.slot_holders().get(slot)}, not {current}")
+        owner = holder if current is None else current
+        for link in links:
+            link.busy ^= mask
+            left = link.holders.get(owner, 0) ^ mask
+            if left:
+                link.holders[owner] = left
+            else:
+                del link.holders[owner]
         self.reserved_cells += width * len(links) * (1 if holder is not None else -1)
 
     # -- routing -----------------------------------------------------------

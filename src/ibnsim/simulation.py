@@ -196,9 +196,8 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
         if link is None:
             continue
         failed = []
-        holders = {h for h in link.slot_grid if h is not None}
         # Ids are never reused, so sorted ids follow DAG insertion order.
-        for iid in sorted(holders):
+        for iid in sorted(link.holders):
             if ctrl.dag.state(iid) is not IntentState.INSTALLED:
                 continue
             ctrl.dag.transition(iid, IntentState.FAILED)

@@ -42,11 +42,11 @@ def reserve(ctrl, a, b, slots, holder="seed"):
 
 def snapshot(ctrl):
     """Frozen copy of every booking in the graph, for atomicity checks:
-    slot grids and their ``busy`` masks, port holders, add/drop holders and
-    ``reserved_cells``."""
+    each fiber's holder masks and ``busy`` mask, port holders, add/drop
+    holders and ``reserved_cells``."""
     graph = ctrl.graph
     return (
-        {key: (list(link.slot_grid), link.busy) for key, link in graph.fiber_links.items()},
+        {key: (dict(link.holders), link.busy) for key, link in graph.fiber_links.items()},
         {node: dict(router.port_holders) for node, router in graph.routers.items()},
         {node: set(oxc.add_drop_holders) for node, oxc in graph.oxcs.items()},
         graph.reserved_cells,

@@ -128,9 +128,36 @@ def _dijkstra(graph, src, dst, banned_links, banned_nodes):
     return None
 
 
-def free_slots(link):
+def slot_grid(link, slot_count):
+    """Per-slot holders of ``link``: entry i is the intent id holding slot
+    i+1, or None when it is free."""
+    held = link.slot_holders()
+    return [held.get(slot) for slot in range(1, slot_count + 1)]
+
+
+def holder_mask_problems(link, slot_count):
+    """Breaches of the holder-mask invariant on ``link``: every mask is
+    nonzero, inside the grid and disjoint from the others, and ``busy`` is
+    their OR."""
+    fiber = f"{link.key[0]}-{link.key[1]}"
+    problems = []
+    union = 0
+    for mask in link.holders.values():
+        if not mask:
+            problems.append(f"empty holder mask on {fiber}")
+        if union & mask:
+            problems.append(f"holder masks overlap on {fiber}")
+        if mask >> slot_count:
+            problems.append(f"holder mask outside the grid on {fiber}")
+        union |= mask
+    if link.busy != union:
+        problems.append(f"busy mask is not the OR of the holder masks on {fiber}")
+    return problems
+
+
+def free_slots(link, slot_count):
     """Slot indices (1-based) no intent holds on ``link``."""
-    return {i + 1 for i, holder in enumerate(link.slot_grid) if holder is None}
+    return {i + 1 for i, holder in enumerate(slot_grid(link, slot_count)) if holder is None}
 
 
 def free_slots_on_path(graph, path, treat_free=()):
@@ -141,10 +168,11 @@ def free_slots_on_path(graph, path, treat_free=()):
     free = set(range(1, graph.slot_count + 1))
     as_free = set(treat_free)
     for link in graph.path_links(path):
+        grid = slot_grid(link, graph.slot_count)
         free &= {
             slot
             for slot in range(1, graph.slot_count + 1)
-            if link.slot_grid[slot - 1] is None or link.slot_grid[slot - 1] in as_free
+            if grid[slot - 1] is None or grid[slot - 1] in as_free
         }
     return free
 
@@ -187,9 +215,9 @@ def audit_resources(domains):
 
     Every held slot, port and add/drop termination must be claimed by an
     installed or failed leaf of the domain's DAG, and every such leaf must
-    hold what it claims.  Each fiber's ``busy`` mask must index exactly the
-    held cells of its slot grid, the graph's ``_down`` mask exactly its down
-    fibers, the DAG's failed-leaf index exactly its failed intents
+    hold what it claims.  Each fiber's holder masks must keep their invariant
+    (``holder_mask_problems``), the graph's ``_down`` mask must hold exactly
+    its down fibers, the DAG's failed-leaf index exactly its failed intents
     (``failed_index_mismatches``), and every delegator must have been told
     the current aggregate of what it delegated (``notification_mismatches``).
     Returns a list of violation strings; empty means every no-overbooking,
@@ -220,14 +248,10 @@ def audit_resources(domains):
         for key, link in graph.fiber_links.items():
             if not link.operational:
                 down_mask |= graph._bits[key]
-            held_mask = 0
-            for slot, holder in enumerate(link.slot_grid, start=1):
-                if holder is not None:
-                    grid_cells[(key, slot)] = holder
-                    held_mask |= 1 << (slot - 1)
-            if link.busy != held_mask:
-                problems.append(f"domain {did}: busy mask and slot grid disagree on "
-                                f"{key[0]}-{key[1]}")
+            problems += [f"domain {did}: {p}"
+                         for p in holder_mask_problems(link, graph.slot_count)]
+            for slot, holder in link.slot_holders().items():
+                grid_cells[(key, slot)] = holder
         if graph._down != down_mask:
             problems.append(f"domain {did}: down mask and fiber states disagree")
         if grid_cells != claimed_cells:
@@ -265,8 +289,9 @@ def audit_resources(domains):
                     problems.append(f"domain {did}: {iid} path broken at {a}-{b}")
                     continue
                 length += link.length
+                grid = slot_grid(link, graph.slot_count)
                 for slot in range(start, end + 1):
-                    if link.slot_grid[slot - 1] != iid:
+                    if grid[slot - 1] != iid:
                         problems.append(
                             f"domain {did}: {iid} missing slot {slot} on {a}-{b}"
                         )

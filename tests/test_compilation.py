@@ -21,10 +21,10 @@ from ibnsim.errors import (
 )
 from ibnsim.export import export_topology
 from ibnsim.intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent
-from ibnsim.network import DEFAULT_MODE_TABLE, NodeId, TransmissionMode
+from ibnsim.network import DEFAULT_MODE_TABLE, NodeId, TransmissionMode, link_key
 
 from .builders import chain, make_domain, reserve, snapshot
-from .oracles import brute_first_fit, oracle_compile
+from .oracles import brute_first_fit, holder_mask_problems, oracle_compile, slot_grid
 
 
 class TestSelectMode:
@@ -90,10 +90,12 @@ def test_first_fit_matches_brute_force(data):
     for link in graph.fiber_links.values():
         runs = data.draw(st.lists(st.tuples(slots, slots, st.sampled_from(HOLDERS)),
                                   max_size=8), label="runs")
+        held = set()
         for first, last, holder in runs:
             for slot in range(min(first, last), max(first, last) + 1):
-                if link.slot_grid[slot - 1] is None:
+                if slot not in held:
                     graph.reserve_spectrum(link, slot, slot, holder)
+                    held.add(slot)
     width = data.draw(st.integers(min_value=1, max_value=slot_count + 1), label="width")
     as_free = data.draw(st.sets(st.sampled_from(HOLDERS)), label="as_free")
     path = [NodeId(1, i) for i in range(1, hops + 2)]
@@ -237,7 +239,7 @@ class TestInstallIntent:
             if isinstance(ctrl.dag.payload(c), LightpathIntent)
         )
         link = ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))
-        assert link.slot_grid[:4] == [lightpath_id] * 4
+        assert slot_grid(link, ctrl.graph.slot_count)[:4] == [lightpath_id] * 4
         assert ctrl.graph.routers[NodeId(1, 1)].ports_used == 1
         assert ctrl.graph.oxcs[NodeId(1, 1)].add_drop_used == 1
         assert export_topology({1: ctrl})["domains"][0]["virtual_links"] == [
@@ -346,7 +348,7 @@ class TestBooking:
         n1, n2 = NodeId(1, 1), NodeId(1, 2)
         before = snapshot(ctrl)
         graph.reserve_spectrum(link, 3, 6, "intent-x")
-        assert link.slot_grid == [None] * 2 + ["intent-x"] * 4 + [None] * 2
+        assert slot_grid(link, graph.slot_count) == [None] * 2 + ["intent-x"] * 4 + [None] * 2
         assert graph.reserved_cells == 4
         graph.release_spectrum(link, 3, 6, "intent-x")
         assert snapshot(ctrl) == before
@@ -446,3 +448,76 @@ class TestBooking:
         ctrl = make_domain(nodes=2)
         chain(ctrl, [100.0])
         return ctrl, ctrl.graph, ctrl.graph.link_between(NodeId(1, 1), NodeId(1, 2))
+
+
+BOOKINGS = ("reserve_spectrum", "release_spectrum", "reserve_lightpath", "release_lightpath")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_booking_matches_a_per_slot_model(data):
+    # The model keeps one holder per slot and one set of terminations per
+    # node.  Grids of up to 70 slots cross the 64-bit boundary, and
+    # lightpaths run either way along the 3-fiber chain, so the first fault
+    # in fiber-then-slot order can sit on any fiber.
+    slot_count = data.draw(st.integers(min_value=1, max_value=70), label="slot_count")
+    ctrl = make_domain(nodes=4, slot_count=slot_count)
+    chain(ctrl, [100.0] * 3)
+    graph = ctrl.graph
+    nodes = [NodeId(1, i) for i in range(1, 5)]
+    links = graph.path_links(nodes)
+    grids = {link.key: [None] * slot_count for link in links}
+    ends = {node: set() for node in nodes}
+    slots = st.integers(min_value=1, max_value=slot_count)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30), label="steps")):
+        op = data.draw(st.sampled_from(BOOKINGS), label="op")
+        holder = data.draw(st.sampled_from("abc"), label="holder")
+        start, end = sorted(data.draw(st.tuples(slots, slots), label="slots"))
+        lightpath = op.endswith("lightpath")
+        if lightpath:
+            i, j = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True),
+                             label="ends")
+            path = nodes[i:j + 1] if i < j else nodes[j:i + 1][::-1]
+            args = (path, (start, end), holder)
+        else:
+            link = data.draw(st.sampled_from(links), label="fiber")
+            path = link.endpoints
+            args = (link, start, end, holder)
+        reserving = op.startswith("reserve")
+        current, new = (None, holder) if reserving else (holder, None)
+
+        fault = None
+        if lightpath:
+            for node in (path[0], path[-1]):
+                if reserving and holder in ends[node]:
+                    fault = f"no add/drop for {holder} at {node}"
+                elif not reserving and holder not in ends[node]:
+                    fault = f"no add/drop held by {holder} at {node}"
+                if fault:
+                    break
+        keys = [link_key(a, b) for a, b in zip(path, path[1:])]
+        for key in keys:
+            bad = [s for s in range(start, end + 1) if grids[key][s - 1] != current]
+            if bad:
+                fault = fault or f"slot {bad[0]} on {key} held by {grids[key][bad[0] - 1]}, not {current}"
+                break
+
+        before = snapshot(ctrl)
+        if fault is None:
+            getattr(graph, op)(*args)
+            for key in keys:
+                grids[key][start - 1:end] = [new] * (end - start + 1)
+            for node in (path[0], path[-1]) if lightpath else ():
+                (ends[node].add if reserving else ends[node].discard)(holder)
+        else:
+            with pytest.raises(BookingConflictError) as refused:
+                getattr(graph, op)(*args)
+            assert str(refused.value) == fault
+            assert snapshot(ctrl) == before
+        for link in links:
+            assert slot_grid(link, slot_count) == grids[link.key]
+            assert holder_mask_problems(link, slot_count) == []
+        assert {node: graph.oxcs[node].add_drop_holders for node in nodes} == ends
+        assert graph.reserved_cells == sum(
+            holder is not None for grid in grids.values() for holder in grid
+        )

@@ -333,7 +333,7 @@ class TestTeardown:
         border = (NodeId(1, 3), NodeId(2, 1))
         for ctrl in domains.values():
             link = ctrl.graph.link_between(*border)
-            assert free_slots(link) == set(range(1, 9))
+            assert free_slots(link, ctrl.graph.slot_count) == set(range(1, 9))
 
 
 @pytest.mark.xfail(

@@ -51,7 +51,7 @@ class TestAddFiberLink:
         link = g.add_fiber_link(n1, n2, 100.0)
         assert len(g.fiber_links) == 1
         assert link.operational
-        assert free_slots(link) == set(range(1, 9))
+        assert free_slots(link, g.slot_count) == set(range(1, 9))
         assert link.busy == 0
 
     def test_duplicate_link(self):

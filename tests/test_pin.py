@@ -6,9 +6,13 @@ only for a change that alters the output on purpose, and say why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from ibnsim.cli import main
+from ibnsim.export import export_topology
+from ibnsim.scenario import parse_scenario
+from ibnsim.simulation import Simulation
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
 
@@ -16,6 +20,12 @@ PINNED_SHA256 = {
     "metrics.csv": "b897d5ff05073d189e82a59188f618a46448b37e8af626b32cf7a072d79d0624",
     "events.log": "ba7af7c1afdfd2a54acf79f143da126c91b17e836c5488e70b274f5a4662eb1c",
 }
+
+# The reference run ends with every slot free, so its final topology.json
+# shows no per-slot holders.  Event seq 687 is its busiest: after it, the
+# domains hold 812 (fiber, slot) cells, more than after any other event.
+BUSIEST_SEQ = 687
+BUSIEST_TOPOLOGY_SHA256 = "656fcc780323be8f9ff59db8d897aceea0cd26f612330628a25b994fd5aed0ae"
 
 
 def test_reference_run_outputs_match_pin(tmp_path):
@@ -25,3 +35,16 @@ def test_reference_run_outputs_match_pin(tmp_path):
         for name in PINNED_SHA256
     }
     assert digests == PINNED_SHA256
+
+
+def test_reference_topology_at_busiest_event_matches_pin():
+    seen = {}
+
+    def on_event(sim, event):
+        if event.seq == BUSIEST_SEQ:
+            seen["cells"] = sum(ctrl.graph.reserved_cells for ctrl in sim.domains.values())
+            text = json.dumps(export_topology(sim.domains), indent=2, sort_keys=True) + "\n"
+            seen["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+
+    Simulation(parse_scenario(REFERENCE.read_text()), on_event=on_event).run()
+    assert seen == {"cells": 812, "sha256": BUSIEST_TOPOLOGY_SHA256}

@@ -183,13 +183,18 @@ class TestRun:
          ("port", ["port holders and DAG disagree at 1.3"]),
          ("add-drop", [f"add/drop holders and DAG disagree at 1.{i}" for i in (2, 3)]),
          ("cell-count", ["reserved_cells is not the held cell count"]),
-         ("busy-mask", ["busy mask and slot grid disagree on 1.2-1.3"]),
+         ("busy-mask", ["busy mask is not the OR of the holder masks on 1.2-1.3"]),
+         ("overlap", ["holder masks overlap on 1.1-1.2"]),
+         ("empty-mask", ["empty holder mask on 1.2-1.3"]),
+         ("outside-grid", ["holder mask outside the grid on 1.2-1.3",
+                           "slot grids and DAG lightpaths disagree",
+                           "reserved_cells is not the held cell count"]),
          ("down-mask", ["down mask and fiber states disagree"]),
          ("failed-index-stale", ["failed index holds 1#4, which is installed"]),
          ("failed-index-missing", ["failed leaf 1#4 is missing from the failed index",
                                    "failed root 1#1 has no indexed leaf below it"])],
-        ids=["slot", "port", "add-drop", "cell-count", "busy-mask", "down-mask",
-             "failed-index-stale", "failed-index-missing"],
+        ids=["slot", "port", "add-drop", "cell-count", "busy-mask", "overlap", "empty-mask",
+             "outside-grid", "down-mask", "failed-index-stale", "failed-index-missing"],
     )
     def test_audit_reports_orphan_booking(self, orphan, problems):
         # A booking no DAG leaf claims: the grid and the holders still agree
@@ -209,6 +214,17 @@ class TestRun:
             graph.reserved_cells += 1
         elif orphan == "busy-mask":
             graph.link_between(b, c).busy ^= 1 << 7
+        elif orphan == "overlap":
+            # Listed first, so the lightpath still wins every slot in the
+            # per-slot view: only the masks themselves show the overlap.
+            link = graph.link_between(a, b)
+            link.holders = {"orphan": link.holders[lightpath], **link.holders}
+        elif orphan == "empty-mask":
+            graph.link_between(b, c).holders["orphan"] = 0
+        elif orphan == "outside-grid":
+            link = graph.link_between(b, c)
+            link.holders["orphan"] = 1 << graph.slot_count
+            link.busy |= 1 << graph.slot_count
         elif orphan == "down-mask":
             graph._down ^= graph._bits[graph.link_between(b, c).key]
         elif orphan == "failed-index-stale":
