@@ -109,9 +109,10 @@ def compile_connectivity(domain, iid) -> CompilationResult:
     """Derive an implementation for an uncompiled connectivity intent.
 
     Any other state, FAILED included, raises WrongStateError: recovery drops
-    a failed piece's children before recompiling it.  Local destinations
-    are served by the intra-domain pipeline below; destinations owned by
-    another domain are delegated by ``multidomain.compile_crossdomain``.
+    a failed piece's children before recompiling it.  A node's owner is its
+    ``NodeId.domain``: local destinations are served by the intra-domain
+    pipeline below; destinations owned by another domain are delegated by
+    ``multidomain.compile_crossdomain``.
     """
     dag = domain.dag
     payload = dag.payload(iid)
@@ -122,14 +123,13 @@ def compile_connectivity(domain, iid) -> CompilationResult:
     if agg is not IntentState.UNCOMPILED:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected uncompiled")
 
-    if domain.registry.get(payload.src) != domain.id:
+    if payload.src.domain != domain.id or not domain.graph.has_node(payload.src):
         raise NotLocalSourceError(f"source {payload.src} is not in domain {domain.id}")
 
-    dst_owner = domain.registry.get(payload.dst)
-    if dst_owner is None:
-        return blocked(BlockReason.NO_PATH)
-    if dst_owner != domain.id:
+    if payload.dst.domain != domain.id:
         return multidomain.compile_crossdomain(domain, iid)
+    if not domain.graph.has_node(payload.dst):
+        return blocked(BlockReason.NO_PATH)
     return _compile_intra(domain, iid, payload)
 
 

@@ -70,7 +70,7 @@ def export_topology(domains: dict) -> dict:
                     "ports_used": router.ports_used,
                     "add_drop": oxc.add_drop_capacity,
                     "add_drop_used": oxc.add_drop_used,
-                    "stub": ctrl.registry.get(node) != did,
+                    "stub": node.domain != did,
                 }
             )
         links = []

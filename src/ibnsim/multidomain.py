@@ -35,7 +35,7 @@ from .intents import (
     RemoteIntent,
     RouterPortIntent,
 )
-from .network import DEFAULT_MODE_TABLE, NetworkGraph, NodeId, OxcView, RouterView, link_key
+from .network import DEFAULT_MODE_TABLE, FiberLink, NetworkGraph, NodeId, OxcView, RouterView
 
 log = logging.getLogger(__name__)
 
@@ -105,13 +105,6 @@ class Message:
         return type(self.body).__name__.lower()
 
 
-@dataclass(frozen=True)
-class BorderLink:
-    local: NodeId
-    remote: NodeId
-    length: float
-
-
 # -- controller ---------------------------------------------------------------
 
 
@@ -120,16 +113,18 @@ class DomainController:
     """Centralized controller of one autonomous domain.
 
     Holds only its own nodes plus border-link stubs; everything beyond the
-    border is reached through delegation.  Sequential actor: one message or
-    event is processed at a time.
+    border is reached through delegation.  A node's owner is its
+    ``NodeId.domain``, so controllers share no state: each knows its own
+    graph, its ``border_links`` (the border fibers in that graph) and the
+    domain-level ``neighbor_hops``.  Sequential actor: one message or event
+    is processed at a time.
     """
 
     id: int
     graph: NetworkGraph = field(default_factory=NetworkGraph)
     dag: IntentDAG = None
     config: DomainConfig = field(default_factory=DomainConfig)
-    registry: dict = field(default_factory=dict)  # NodeId -> owning domain id
-    border_links: list = field(default_factory=list)
+    border_links: list = field(default_factory=list)  # FiberLinks; endpoints (local, remote)
     neighbor_hops: dict = field(default_factory=dict)  # neighbor -> {domain: hops}
     outbox: deque = field(default_factory=deque)  # Messages in seq order
 
@@ -152,18 +147,16 @@ class DomainController:
         self.graph.add_node(
             RouterView(node, port_count, port_rate), OxcView(node, add_drop)
         )
-        self.registry[node] = self.id
         return node
 
     def add_border_link(self, local: NodeId, remote: NodeId, length: float) -> None:
         """Register a border fiber; the remote endpoint becomes a stub node."""
         if not self.graph.has_node(remote):
             self.graph.add_node(RouterView(remote, 0, 0), OxcView(remote, 0))
-        self.graph.add_fiber_link(local, remote, length)
-        self.border_links.append(BorderLink(local, remote, length))
+        self.border_links.append(self.graph.add_fiber_link(local, remote, length))
 
     def neighbors(self) -> list:
-        return sorted({bl.remote.domain for bl in self.border_links})
+        return sorted({fiber.endpoints[1].domain for fiber in self.border_links})
 
     # -- messaging ---------------------------------------------------------
 
@@ -260,22 +253,22 @@ def compile_crossdomain(domain: DomainController, iid: IntentId) -> CompilationR
     """
     dag = domain.dag
     payload = dag.payload(iid)
-    dst_domain = domain.registry[payload.dst]
 
-    neighbor = _next_hop(domain, dst_domain)
+    neighbor = _next_hop(domain, payload.dst.domain)
     if neighbor is None:
         return blocked(BlockReason.NO_PATH)
     border = _pick_border(domain, neighbor, payload)
     if border is None:
         return blocked(BlockReason.NO_PATH)
+    local, remote = border.endpoints
 
     # Local piece: a segment to the border node, or just the terminating
     # port when the source already sits on the border.
-    if payload.src != border.local:
+    if payload.src != local:
         segment = dag.add_child(
             iid,
             ConnectivityIntent(
-                payload.src, border.local, payload.rate, payload.constraints
+                payload.src, local, payload.rate, payload.constraints
             ),
         )
         result = compile_connectivity(domain, segment)
@@ -288,9 +281,9 @@ def compile_crossdomain(domain: DomainController, iid: IntentId) -> CompilationR
         segment = dag.add_child(iid, RouterPortIntent(payload.src, payload.rate))
         dag.transition(segment, IntentState.COMPILED)
 
-    if payload.dst != border.remote:
+    if payload.dst != remote:
         remote_payload = ConnectivityIntent(
-            border.remote, payload.dst, payload.rate, payload.constraints
+            remote, payload.dst, payload.rate, payload.constraints
         )
     else:
         remote_payload = RouterPortIntent(payload.dst, payload.rate)
@@ -316,30 +309,28 @@ def _next_hop(domain: DomainController, dst_domain: int) -> Optional[int]:
     return best
 
 
-def _pick_border(domain, neighbor: int, payload) -> Optional[BorderLink]:
+def _pick_border(domain, neighbor: int, payload) -> Optional[FiberLink]:
     excluded = payload.excluded_links()
     best = None
     best_key = None
-    for bl in domain.border_links:
-        if bl.remote.domain != neighbor:
+    for fiber in domain.border_links:
+        local, remote = fiber.endpoints
+        if remote.domain != neighbor:
             continue
-        if link_key(bl.local, bl.remote) in excluded:
+        if fiber.key in excluded or not fiber.operational:
             continue
-        fiber = domain.graph.link_between(bl.local, bl.remote)
-        if fiber is None or not fiber.operational:
-            continue
-        if payload.src == bl.local:
+        if payload.src == local:
             distance = 0.0
         else:
             paths = domain.graph.k_shortest_paths(
-                payload.src, bl.local, 1, exclude_links=excluded
+                payload.src, local, 1, exclude_links=excluded
             )
             if not paths:
                 continue
             distance = domain.graph.path_length(paths[0])
-        key = (distance, bl.local, bl.remote)
+        key = (distance, local, remote)
         if best is None or key < best_key:
-            best, best_key = bl, key
+            best, best_key = fiber, key
     return best
 
 

@@ -75,14 +75,12 @@ class Scenario:
     # -- world building ------------------------------------------------------
 
     def build_domains(self) -> dict:
-        """Instantiate one controller per domain, sharing a global registry."""
-        registry: dict = {}
+        """Instantiate one controller per domain; they share no state."""
         controllers: dict = {}
         for dspec in sorted(self.domains, key=lambda d: d.id):
             ctrl = DomainController(
                 id=dspec.id,
                 config=DomainConfig(k_paths=self.k_paths, mode_table=self.mode_table),
-                registry=registry,
             )
             ctrl.graph.slot_count = self.grid_size
             for node in dspec.nodes:
@@ -441,7 +439,7 @@ def _parse_borders(raw, owners, domains) -> tuple:
             raise ScenarioValidationError(
                 f"border link {a}-{b} must have positive length"
             )
-        key = (a, b) if a <= b else (b, a)
+        key = link_key(a, b)
         if key in seen:
             raise ScenarioValidationError(f"duplicate border link {a}-{b}")
         seen.add(key)

@@ -57,8 +57,7 @@ class Event:
     kind: EventKind
     intent: Optional[ConnectivityIntent] = None
     holding: Optional[float] = None
-    intent_id: Optional[IntentId] = None
-    domain: Optional[int] = None
+    intent_id: Optional[IntentId] = None  # its domain holds the intent
     link: Optional[tuple] = None  # (NodeId, NodeId)
 
 
@@ -260,7 +259,7 @@ def _attempt_recovery(ctrl: DomainController, root) -> int:
     an infeasible one keeps its reservations and stays failed.
     """
     dag = ctrl.dag
-    # A failed piece fails its root, and most roots handed in are fine.
+    # Precondition: both callers hand in roots of failed leaves only.
     if dag.aggregate_state(root) is not IntentState.FAILED:
         return 0
     piece = root
@@ -325,8 +324,6 @@ class Simulation:
         for event in scenario.build_events():
             heapq.heappush(self._heap, (event.time, event.seq, event))
             self._seq = max(self._seq, event.seq + 1)
-        registries = [d.registry for d in self.domains.values()]
-        self._registry = registries[0] if registries else {}
         # Border fibers live in two graphs; count capacity once, at the
         # lower domain id.  Cross-domain lightpaths end at the border node,
         # so only a path through a foreign stub books a border fiber.
@@ -368,7 +365,7 @@ class Simulation:
 
     def _handle_arrival(self, event: Event) -> None:
         intent = event.intent
-        ctrl = self.domains[self._registry[intent.src]]
+        ctrl = self.domains[intent.src.domain]
         self.metrics.offered += 1
         iid = ctrl.add_intent(intent)
         record = IntentRecord(iid, "blocked")
@@ -396,7 +393,6 @@ class Simulation:
                 self.now + event.holding,
                 EventKind.DEPARTURE,
                 intent_id=iid,
-                domain=ctrl.id,
             )
         else:
             self.metrics.blocked += 1
@@ -420,8 +416,8 @@ class Simulation:
         )
 
     def _handle_departure(self, event: Event) -> None:
-        ctrl = self.domains[event.domain]
         iid = event.intent_id
+        ctrl = self.domains[iid.domain]
         agg = ctrl.dag.aggregate_state(iid)
         if agg in (IntentState.INSTALLED, IntentState.FAILED):
             ctrl.uninstall(iid)

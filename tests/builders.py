@@ -59,7 +59,6 @@ def make_domains(sizes, borders, slot_count=8, ports=8, add_drop=8):
     ``sizes`` maps domain id -> node count (nodes form a chain of 100 km
     fibers); ``borders`` is a list of (NodeId, NodeId, length) pairs.
     """
-    registry = {}
     domains = {}
     for did in sorted(sizes):
         ctrl = make_domain(
@@ -69,9 +68,6 @@ def make_domains(sizes, borders, slot_count=8, ports=8, add_drop=8):
             ports=ports,
             add_drop=add_drop,
         )
-        ctrl.registry = registry
-        for node in list(ctrl.graph.routers):
-            registry[node] = did
         chain(ctrl, [100.0] * (sizes[did] - 1))
         domains[did] = ctrl
     for a, b, length in borders:

@@ -91,6 +91,16 @@ def test_link_event_on_unknown_fiber_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("unknown fiber 1.1-1.9") == 2
 
 
+def test_border_link_given_in_both_directions_exits_2(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "three_domain_line.json").read_text())
+    border = doc["border_links"][0]
+    doc["border_links"].append({**border, "a": border["b"], "b": border["a"]})
+    path = tmp_path / "reversed_border.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "duplicate border link" in capsys.readouterr().err
+
+
 def test_conservation_violation_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     handle_arrival = Simulation._handle_arrival
 

@@ -213,8 +213,15 @@ class TestCompileConnectivity:
     def test_not_local_source(self):
         ctrl = make_domain(nodes=2)
         chain(ctrl, [100.0])
-        ctrl.registry[NodeId(2, 7)] = 2
         iid = ctrl.dag.add_intent(ConnectivityIntent(NodeId(2, 7), NodeId(1, 2), 100))
+        with pytest.raises(NotLocalSourceError):
+            compile_connectivity(ctrl, iid)
+
+    def test_unknown_local_source_is_not_local(self):
+        # 1.99 names domain 1, but domain 1 holds no such node.
+        ctrl = make_domain(nodes=2)
+        chain(ctrl, [100.0])
+        iid = ctrl.dag.add_intent(ConnectivityIntent(NodeId(1, 99), NodeId(1, 2), 100))
         with pytest.raises(NotLocalSourceError):
             compile_connectivity(ctrl, iid)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ibnsim import multidomain
 from ibnsim.compilation import BlockReason, CompileOutcome, InstallOutcome
 from ibnsim.errors import UnknownRemoteError, WrongStateError
 from ibnsim.intents import (
@@ -78,6 +79,42 @@ class TestCompileCrossdomain:
         result = d1.compile(iid)
         assert result.outcome is CompileOutcome.BLOCKED
         assert result.reason is BlockReason.NO_PATH
+        assert not any(ctrl.outbox for ctrl in domains.values())
+
+    def test_unknown_local_destination_blocks_without_a_message(self):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = d1.dag.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(1, 99), 100))
+        result = d1.compile(iid)
+        assert result.outcome is CompileOutcome.BLOCKED
+        assert result.reason is BlockReason.NO_PATH
+        assert not d1.dag.children(iid)
+        assert not any(ctrl.outbox for ctrl in domains.values())
+
+    def test_owner_refuses_an_unknown_node_in_its_domain(self, monkeypatch):
+        domains = two_domains()
+        d1, d2 = domains[1], domains[2]
+        verdicts = []
+
+        def recording(domain, iid):
+            result = compile_connectivity(domain, iid)
+            verdicts.append((domain.id, result.outcome, result.reason))
+            return result
+
+        before = {did: snapshot(ctrl) for did, ctrl in domains.items()}
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(2, 99), 100))
+        # Domain 1 cannot tell that 2.99 does not exist, so it delegates.
+        assert d1.compile(iid).outcome is CompileOutcome.COMPILED
+        compile_connectivity = multidomain.compile_connectivity
+        monkeypatch.setattr(multidomain, "compile_connectivity", recording)
+        deliver_messages(domains)
+        assert verdicts == [(2, CompileOutcome.BLOCKED, BlockReason.NO_PATH)]
+        assert d1.dag.aggregate_state(iid) is U
+        assert {did: snapshot(ctrl) for did, ctrl in domains.items()} == before
+
+        d1.remove(iid)
+        deliver_messages(domains)
+        assert d2.dag.nodes == {}
 
     def test_unreachable_domain_blocks(self):
         domains = make_domains(sizes={1: 2, 9: 2}, borders=[])
@@ -345,10 +382,6 @@ def test_intra_domain_route_never_transits_a_foreign_stub():
     to domain 2's node 2.1.  Domain 1 owns no route between them, so it must
     block with no-path instead of booking a path through 2.1."""
     d1, d2 = make_domain(domain_id=1, nodes=2), make_domain(domain_id=2, nodes=1)
-    registry = {}
-    for ctrl in (d1, d2):
-        registry.update(ctrl.registry)
-        ctrl.registry = registry
     stub = NodeId(2, 1)
     for local in (NodeId(1, 1), NodeId(1, 2)):
         d1.add_border_link(local, stub, 100.0)

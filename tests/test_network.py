@@ -506,3 +506,20 @@ def test_yen_breaks_equal_length_ties_on_the_node_sequence():
     ])
     exclude = [link_key(n[1], n[3])]
     assert g.k_shortest_paths(n[1], n[5], 5, exclude) == ranked_paths(g, n[1], n[5], 5, exclude)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: Yen ranks candidates by root + spur km, not by path_length",
+)
+def test_ksp_prefix_property_on_a_near_tie():
+    # 1-3-2-4 is 513.7977036117705 km and 1-2-3-4 is 513.7977036117707 km.
+    # k=4 returns 1-2-3-4 fourth, yet k=5 ranks 1-3-2-4 before it, so the
+    # four shortest paths depend on k.
+    g, n = graph_with_fibers([
+        (1, 2, 247.6223456860538), (2, 4, 1.6223456860537908),
+        (1, 3, 247.1753579257168), (3, 4, 1.1753579257168099),
+        (2, 3, 265.0), (1, 4, 1.0),
+    ])
+    shorter = g.k_shortest_paths(n[1], n[4], 4)
+    assert g.k_shortest_paths(n[1], n[4], 5)[:4] == shorter

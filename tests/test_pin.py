@@ -19,6 +19,12 @@ REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.js
 PINNED_SHA256 = {
     "metrics.csv": "b897d5ff05073d189e82a59188f618a46448b37e8af626b32cf7a072d79d0624",
     "events.log": "ba7af7c1afdfd2a54acf79f143da126c91b17e836c5488e70b274f5a4662eb1c",
+    # The final exports: every slot is free again and both DAGs are empty,
+    # but topology.json still carries each node's ``stub`` flag.
+    "topology.json": "fcd3ee1986d91f4c5933307767a13f0b1ce45b3fc3c226e68dd76555d9a66bc2",
+    "state.json": "cc6aa68c306237a575b5240800121047e14ff63810357e0e628992da81eed20b",
+    "dag_1.dot": "0d760e83f097e0f12fc6f1fba4dff398b59fff6f2b304f7582c4faeb98ea7ddc",
+    "dag_2.dot": "0d760e83f097e0f12fc6f1fba4dff398b59fff6f2b304f7582c4faeb98ea7ddc",
 }
 
 # The reference run ends with every slot free, so its final topology.json

@@ -1,14 +1,21 @@
 import copy
+import dataclasses
+import enum
 import json
+from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibnsim.errors import ScenarioError, ScenarioParseError, ScenarioValidationError
+from ibnsim.export import export_topology
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
 from ibnsim.scenario import parse_scenario, render_scenario
 from ibnsim.simulation import Simulation
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = {
     "schema": 1,
@@ -157,16 +164,52 @@ class TestBuildDomains:
         # Border stubs carry zero capacity and keep foreign ownership.
         assert d1.graph.has_node(NodeId(2, 1))
         assert d1.graph.routers[NodeId(2, 1)].port_count == 0
-        assert d1.registry[NodeId(2, 1)] == 2
+        stubs = {
+            node["id"]: node["stub"]
+            for node in export_topology(domains)["domains"][0]["nodes"]
+        }
+        assert stubs == {"1.1": False, "1.2": False, "2.1": True}
         assert d1.graph.slot_count == 16
         assert d1.neighbor_hops == {2: {1: 1, 2: 0}}
         assert d2.neighbor_hops == {1: {1: 0, 2: 1}}
+
+    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
+    def test_controllers_share_no_mutable_state(self, name):
+        domains = parse_scenario((SCENARIOS / name).read_text()).build_domains()
+        reached_from = {}
+        for did, ctrl in domains.items():
+            for attr, value in vars(ctrl).items():
+                for obj in _mutables(value):
+                    first = reached_from.setdefault(id(obj), (did, attr))
+                    assert first[0] == did, f"{did}.{attr} shares {obj!r:.60} with {first}"
 
     def test_build_events_from_traffic(self):
         sc = parse_scenario(two_domain_doc())
         events = sc.build_events()
         assert len(events) == 10
         assert all(e.intent.src == NodeId(1, 1) for e in events)
+
+
+def _mutables(value, seen=None):
+    """Every mutable object reachable from ``value``: dicts, lists, sets,
+    deques and objects that are not frozen dataclasses, and all they hold."""
+    seen = set() if seen is None else seen
+    if id(value) in seen or value is None or isinstance(
+            value, (str, bytes, int, float, enum.Enum, type)):
+        return
+    seen.add(id(value))
+    frozen = (isinstance(value, tuple) or dataclasses.is_dataclass(value)
+              and value.__dataclass_params__.frozen)
+    if not frozen:
+        yield value
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset, deque)):
+        children = list(value)
+    else:
+        children = list(getattr(value, "__dict__", {}).values())
+    for child in children:
+        yield from _mutables(child, seen)
 
 
 # -- input boundary ---------------------------------------------------------------

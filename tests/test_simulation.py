@@ -13,6 +13,7 @@ from ibnsim.simulation import (
     EventKind,
     Simulation,
     TrafficConfig,
+    _attempt_recovery,
     _cumulative,
     _pick,
     generate_traffic,
@@ -390,6 +391,17 @@ class TestMonitorRepair:
         ctrl, a, b, c = triangle_domain()
         with pytest.raises(LinkStateError):
             monitor_repair({1: ctrl}, a, b)
+
+
+def test_recovery_leaves_a_healthy_root_alone():
+    # Both monitors hand in only roots of failed leaves; the check that the
+    # root failed is the routine's precondition, not a filter.
+    ctrl, a, b, c = triangle_domain()
+    iid = installed(ctrl, a, b)
+    before = snapshot(ctrl)
+    assert _attempt_recovery(ctrl, iid) == 0
+    assert snapshot(ctrl) == before
+    assert ctrl.dag.aggregate_state(iid) is IntentState.INSTALLED
 
 
 class TestFailureInSimulation:
