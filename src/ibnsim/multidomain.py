@@ -115,9 +115,9 @@ class DomainController:
     Holds only its own nodes plus border-link stubs; everything beyond the
     border is reached through delegation.  A node's owner is its
     ``NodeId.domain``, so controllers share no state: each knows its own
-    graph, its ``border_links`` (the border fibers in that graph) and the
-    domain-level ``neighbor_hops``.  Sequential actor: one message or event
-    is processed at a time.
+    graph, its ``border_links`` (the border fibers in that graph) and its
+    ``next_hop`` table, which ``route_domains`` sets.  Sequential actor: one
+    message or event is processed at a time.
     """
 
     id: int
@@ -125,7 +125,7 @@ class DomainController:
     dag: IntentDAG = None
     config: DomainConfig = field(default_factory=DomainConfig)
     border_links: list = field(default_factory=list)  # FiberLinks; endpoints (local, remote)
-    neighbor_hops: dict = field(default_factory=dict)  # neighbor -> {domain: hops}
+    next_hop: dict = field(default_factory=dict)  # foreign domain -> neighbor
     outbox: deque = field(default_factory=deque)  # Messages in seq order
 
     # Coordination bookkeeping.
@@ -242,19 +242,41 @@ class DomainController:
 # -- cross-domain compilation -------------------------------------------------
 
 
+def route_domains(controllers: dict) -> None:
+    """Set every controller's ``next_hop``: for each domain it can reach, the
+    neighbor with the fewest domain hops to it, ties to the lower id.
+
+    Link state is not consulted.  A breadth-first search from each domain
+    over the controllers' ``neighbors()`` carries every domain's first hop;
+    each level is expanded in ascending first-hop order, so a domain that
+    several shortest routes reach takes the lowest first hop among them.
+    """
+    adjacency = {did: ctrl.neighbors() for did, ctrl in controllers.items()}
+    for did, ctrl in controllers.items():
+        ctrl.next_hop = {}
+        frontier = [(neighbor, neighbor) for neighbor in adjacency[did]]
+        while frontier:
+            reached = []
+            for domain, hop in frontier:
+                if domain != did and domain not in ctrl.next_hop:
+                    ctrl.next_hop[domain] = hop
+                    reached += [(n, hop) for n in adjacency.get(domain, ())]
+            frontier = reached
+
+
 def compile_crossdomain(domain: DomainController, iid: IntentId) -> CompilationResult:
     """Split an intent at a border link and delegate the far piece.
 
-    The next-hop neighbor is the one with the fewest inter-domain hops to the
-    destination's domain (ties to the lower domain id); among its operational
-    border links the one closest to the source wins.  The local piece is
-    compiled immediately; the intent's own state follows the delegated
-    mirror, so it stays uncompiled until the neighbor confirms.
+    The neighbor is the destination domain's ``next_hop`` (see
+    ``route_domains``); among its operational border links the one closest
+    to the source wins.  The local piece is compiled immediately; the
+    intent's own state follows the delegated mirror, so it stays
+    uncompiled until the neighbor confirms.
     """
     dag = domain.dag
     payload = dag.payload(iid)
 
-    neighbor = _next_hop(domain, payload.dst.domain)
+    neighbor = domain.next_hop.get(payload.dst.domain)
     if neighbor is None:
         return blocked(BlockReason.NO_PATH)
     border = _pick_border(domain, neighbor, payload)
@@ -292,21 +314,6 @@ def compile_crossdomain(domain: DomainController, iid: IntentId) -> CompilationR
     domain.send(neighbor, Delegate(remote_payload, parent=mirror))
     log.debug("domain %d delegated %s to domain %d", domain.id, iid, neighbor)
     return CompilationResult(CompileOutcome.COMPILED, (segment, mirror))
-
-
-def _next_hop(domain: DomainController, dst_domain: int) -> Optional[int]:
-    best = None
-    best_key = None
-    for neighbor in domain.neighbors():
-        hops = domain.neighbor_hops.get(neighbor, {}).get(dst_domain)
-        if neighbor == dst_domain:
-            hops = 0
-        if hops is None:
-            continue
-        key = (hops, neighbor)
-        if best is None or key < best_key:
-            best, best_key = neighbor, key
-    return best
 
 
 def _pick_border(domain, neighbor: int, payload) -> Optional[FiberLink]:

@@ -204,18 +204,23 @@ class NetworkGraph:
         return self._path_fibers(path)[1]
 
     def _path_fibers(self, path: Iterable[NodeId]) -> tuple:
-        """(fibers of ``path``, their km), memoized per node tuple."""
+        """(fibers of ``path``, their km), memoized per node tuple.
+
+        A loop adds the km: ``sum()`` of floats is compensated since
+        CPython 3.12, so its result would depend on the interpreter.
+        """
         nodes = tuple(path)
         memo = self._fibers.get(nodes)
         if memo is None:
             links = []
+            km = 0.0
             for a, b in zip(nodes, nodes[1:]):
                 link = self.link_between(a, b)
                 if link is None:
                     raise BrokenPathError(f"no fiber between {a} and {b}")
                 links.append(link)
-            links = tuple(links)
-            memo = self._fibers[nodes] = (links, sum(link.length for link in links))
+                km += link.length
+            memo = self._fibers[nodes] = (tuple(links), km)
         return memo
 
     def set_link_operational(self, a: NodeId, b: NodeId, up: bool) -> FiberLink:
@@ -425,7 +430,9 @@ class NetworkGraph:
                     key, _, path = entry
                     if path not in done and best[path][2] == key:
                         done.add(path)
-                        km = sum(hops[a, b][0] for a, b in zip(path, path[1:]))
+                        km = 0.0  # left to right, as in _path_fibers
+                        for a, b in zip(path, path[1:]):
+                            km += hops[a, b][0]
                         accepted.append((km, path))
                         break
                     continue  # accepted already, or a later search's key

@@ -14,15 +14,13 @@ from typing import Optional
 
 from .errors import InvalidConfigError, ScenarioParseError, ScenarioValidationError
 from .intents import ConnectivityIntent
-from .multidomain import DomainConfig, DomainController
+from .multidomain import DomainConfig, DomainController, route_domains
 from .network import DEFAULT_MODE_TABLE, DEFAULT_SLOT_COUNT, NodeId, TransmissionMode, link_key
-from .simulation import Event, EventKind, TrafficConfig, generate_traffic
+from .simulation import POLICY_AUTO, POLICY_NONE, Event, EventKind, TrafficConfig, generate_traffic
 
 SCHEMA_VERSION = 1
 
-DEFAULT_K_PATHS = 3
-DEFAULT_RECOVERY = "auto-recompile"
-RECOVERY_POLICIES = ("auto-recompile", "none")
+RECOVERY_POLICIES = (POLICY_AUTO, POLICY_NONE)
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,9 @@ class Scenario:
     domains: tuple
     border_links: tuple = ()
     grid_size: int = DEFAULT_SLOT_COUNT
-    k_paths: int = DEFAULT_K_PATHS
+    k_paths: int = DomainConfig.k_paths
     mode_table: tuple = DEFAULT_MODE_TABLE
-    recovery: str = DEFAULT_RECOVERY
+    recovery: str = POLICY_AUTO
     seed: int = 0
     traffic: Optional[TrafficConfig] = None
     events: tuple = ()
@@ -78,16 +76,13 @@ class Scenario:
         """Instantiate one controller per domain; they share no state."""
         controllers: dict = {}
         for dspec in sorted(self.domains, key=lambda d: d.id):
-            ctrl = DomainController(
+            ctrl = controllers[dspec.id] = DomainController(
                 id=dspec.id,
                 config=DomainConfig(k_paths=self.k_paths, mode_table=self.mode_table),
             )
             ctrl.graph.slot_count = self.grid_size
             for node in dspec.nodes:
                 ctrl.add_node(node.local, node.ports, node.port_rate, node.add_drop)
-            controllers[dspec.id] = ctrl
-        for dspec in sorted(self.domains, key=lambda d: d.id):
-            ctrl = controllers[dspec.id]
             for link in dspec.links:
                 ctrl.graph.add_fiber_link(
                     NodeId(dspec.id, link.a), NodeId(dspec.id, link.b), link.length
@@ -95,34 +90,8 @@ class Scenario:
         for border in self.border_links:
             controllers[border.a.domain].add_border_link(border.a, border.b, border.length)
             controllers[border.b.domain].add_border_link(border.b, border.a, border.length)
-
-        hops = self._domain_hops()
-        for did, ctrl in controllers.items():
-            ctrl.neighbor_hops = {
-                neighbor: dict(hops.get(neighbor, {})) for neighbor in ctrl.neighbors()
-            }
+        route_domains(controllers)
         return controllers
-
-    def _domain_hops(self) -> dict:
-        """All-pairs inter-domain hop counts over the border-link adjacency."""
-        adjacency: dict = {d.id: set() for d in self.domains}
-        for border in self.border_links:
-            adjacency[border.a.domain].add(border.b.domain)
-            adjacency[border.b.domain].add(border.a.domain)
-        hops: dict = {}
-        for start in adjacency:
-            dist = {start: 0}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for neighbor in sorted(adjacency[node]):
-                        if neighbor not in dist:
-                            dist[neighbor] = dist[node] + 1
-                            nxt.append(neighbor)
-                frontier = nxt
-            hops[start] = dist
-        return hops
 
     def build_events(self) -> list:
         if self.traffic is not None:
@@ -257,8 +226,8 @@ def parse_scenario(document) -> Scenario:
         raise ScenarioParseError(f"unsupported schema version {schema}")
 
     grid_size = _optional(raw, "grid_size", int, DEFAULT_SLOT_COUNT)
-    k_paths = _optional(raw, "k_paths", int, DEFAULT_K_PATHS)
-    recovery = _optional(raw, "recovery", str, DEFAULT_RECOVERY)
+    k_paths = _optional(raw, "k_paths", int, DomainConfig.k_paths)
+    recovery = _optional(raw, "recovery", str, POLICY_AUTO)
     seed = _optional(raw, "seed", int, 0)
     if grid_size < 1:
         raise ScenarioValidationError("grid_size must be >= 1")
@@ -271,20 +240,20 @@ def parse_scenario(document) -> Scenario:
 
     mode_table = _parse_mode_table(raw.get("mode_table"))
     domains = _parse_domains(_require(raw, "domains", list))
-    owners = _owner_map(domains)
-    border_links = _parse_borders(_optional(raw, "border_links", list, []), owners, domains)
+    declared = {NodeId(d.id, n.local) for d in domains for n in d.nodes}
+    border_links = _parse_borders(_optional(raw, "border_links", list, []), declared)
 
     traffic = None
     events: tuple = ()
     if "traffic" in raw and "events" in raw:
         raise ScenarioValidationError("give either traffic or events, not both")
     if "traffic" in raw:
-        traffic = _parse_traffic(raw["traffic"], owners, domains)
+        traffic = _parse_traffic(raw["traffic"], declared)
     elif "events" in raw:
         fibers = {link_key(b.a, b.b) for b in border_links}
         for d in domains:
             fibers.update(link_key(NodeId(d.id, l.a), NodeId(d.id, l.b)) for l in d.links)
-        events = _parse_events(_require(raw, "events", list), owners, fibers)
+        events = _parse_events(_require(raw, "events", list), declared, fibers)
 
     return Scenario(
         domains=domains,
@@ -408,18 +377,7 @@ def _parse_domains(raw) -> tuple:
     return tuple(domains)
 
 
-def _owner_map(domains) -> dict:
-    owners = {}
-    for d in domains:
-        for n in d.nodes:
-            node = NodeId(d.id, n.local)
-            if node in owners:
-                raise ScenarioValidationError(f"node {node} owned by two domains")
-            owners[node] = d.id
-    return owners
-
-
-def _parse_borders(raw, owners, domains) -> tuple:
+def _parse_borders(raw, declared) -> tuple:
     borders = []
     seen = set()
     for entry in raw:
@@ -427,7 +385,7 @@ def _parse_borders(raw, owners, domains) -> tuple:
         b = _parse_node_ref(_require(entry, "b", list), "border link")
         length = _require(entry, "length", float)
         for end in (a, b):
-            if end not in owners:
+            if end not in declared:
                 raise ScenarioValidationError(
                     f"border link references unknown node {end}"
                 )
@@ -447,14 +405,14 @@ def _parse_borders(raw, owners, domains) -> tuple:
     return tuple(borders)
 
 
-def _parse_traffic(raw, owners, domains) -> TrafficConfig:
+def _parse_traffic(raw, declared) -> TrafficConfig:
     arrivals = _require(raw, "arrivals", int)
     rate = _require(raw, "arrival_rate", float)
     holding = _require(raw, "mean_holding", float)
 
     pairs_raw = raw.get("pairs", "all")
     if pairs_raw == "all":
-        nodes = sorted(owners)
+        nodes = sorted(declared)
         pairs = tuple(
             (src, dst, 1.0) for src in nodes for dst in nodes if src != dst
         )
@@ -467,7 +425,7 @@ def _parse_traffic(raw, owners, domains) -> TrafficConfig:
             dst = _parse_node_ref(_require(entry, "dst", list), "traffic pair")
             weight = _optional(entry, "weight", float, 1.0)
             for end in (src, dst):
-                if end not in owners:
+                if end not in declared:
                     raise ScenarioValidationError(
                         f"traffic pair references unknown node {end}"
                     )
@@ -492,7 +450,7 @@ def _parse_traffic(raw, owners, domains) -> TrafficConfig:
         raise ScenarioValidationError(f"traffic: {exc}") from None
 
 
-def _parse_events(raw, owners, fibers) -> tuple:
+def _parse_events(raw, declared, fibers) -> tuple:
     events = []
     for entry in raw:
         time = _require(entry, "time", float)
@@ -503,7 +461,7 @@ def _parse_events(raw, owners, fibers) -> tuple:
             src = _parse_node_ref(_require(entry, "src", list), "arrival event")
             dst = _parse_node_ref(_require(entry, "dst", list), "arrival event")
             for end in (src, dst):
-                if end not in owners:
+                if end not in declared:
                     raise ScenarioValidationError(
                         f"arrival references unknown node {end}"
                     )

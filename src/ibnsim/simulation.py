@@ -312,7 +312,6 @@ class Simulation:
     """
 
     def __init__(self, scenario, on_event: Optional[Callable] = None):
-        self.scenario = scenario
         self.domains = scenario.build_domains()
         self.policy = scenario.recovery
         self.on_event = on_event

@@ -1,6 +1,6 @@
 """Shared topology builders for the test suite."""
 
-from ibnsim.multidomain import DomainConfig, DomainController
+from ibnsim.multidomain import DomainConfig, DomainController, route_domains
 from ibnsim.network import NodeId
 
 
@@ -73,24 +73,5 @@ def make_domains(sizes, borders, slot_count=8, ports=8, add_drop=8):
     for a, b, length in borders:
         domains[a.domain].add_border_link(a, b, length)
         domains[b.domain].add_border_link(b, a, length)
-
-    adjacency = {did: set() for did in domains}
-    for a, b, _ in borders:
-        adjacency[a.domain].add(b.domain)
-        adjacency[b.domain].add(a.domain)
-    for did, ctrl in domains.items():
-        hops = {}
-        for start in adjacency:
-            dist = {start: 0}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for neighbor in sorted(adjacency[node]):
-                        if neighbor not in dist:
-                            dist[neighbor] = dist[node] + 1
-                            nxt.append(neighbor)
-                frontier = nxt
-            hops[start] = dist
-        ctrl.neighbor_hops = {n: hops[n] for n in ctrl.neighbors()}
+    route_domains(domains)
     return domains

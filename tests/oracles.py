@@ -46,9 +46,12 @@ def all_simple_paths(graph, src, dst, exclude=()):
 
 
 def path_length(graph, path):
-    return sum(
-        graph.fiber_links[link_key(a, b)].length for a, b in zip(path, path[1:])
-    )
+    """Fiber km added left to right, as the graph adds them (``sum()`` of
+    floats is compensated since CPython 3.12)."""
+    km = 0.0
+    for a, b in zip(path, path[1:]):
+        km += graph.fiber_links[link_key(a, b)].length
+    return km
 
 
 def ranked_paths(graph, src, dst, k, exclude=()):

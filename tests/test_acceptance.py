@@ -31,7 +31,7 @@ from ibnsim.intents import (
 )
 from ibnsim.network import NodeId, TransmissionMode
 from ibnsim.scenario import parse_scenario
-from ibnsim.simulation import Simulation
+from ibnsim.simulation import POLICY_AUTO, POLICY_NONE, Simulation
 
 from .builders import make_domain, reserve
 from .oracles import audit_resources, mirror_mismatches, oracle_compile
@@ -307,8 +307,8 @@ def run_triangle(policy):
 
 
 def test_criterion_5_failure_recovery():
-    auto_result, auto_seen = run_triangle("auto-recompile")
-    none_result, none_seen = run_triangle("none")
+    auto_result, auto_seen = run_triangle(POLICY_AUTO)
+    none_result, none_seen = run_triangle(POLICY_NONE)
     backup = (NodeId(1, 1), NodeId(1, 3), NodeId(1, 2))
     auto_ok = (
         auto_seen["state"] is IntentState.INSTALLED

@@ -4,7 +4,7 @@ from ibnsim.compilation import compile_connectivity, install_intent
 from ibnsim.export import export_dag, export_topology, metrics_csv
 from ibnsim.intents import ConnectivityIntent, IntentDAG, RouterPortIntent
 from ibnsim.network import NodeId
-from ibnsim.simulation import IntentRecord, Metrics, monitor_failure
+from ibnsim.simulation import POLICY_NONE, IntentRecord, Metrics, monitor_failure
 
 from .builders import chain, make_domain
 
@@ -93,7 +93,7 @@ class TestExportTopology:
 
     def test_down_link_flagged(self):
         ctrl, iid = installed_domain()
-        monitor_failure({1: ctrl}, N1, N2, policy="none")
+        monitor_failure({1: ctrl}, N1, N2, policy=POLICY_NONE)
         doc = export_topology({1: ctrl})
         assert doc["domains"][0]["fiber_links"][0]["operational"] is False
         assert doc["intents"] == []  # nothing installed anymore

@@ -87,6 +87,14 @@ class TestPathLength:
         g.add_fiber_link(n2, n3, 200.0)
         assert g.path_length([n1, n2, n3]) == 300.0
 
+    def test_adds_left_to_right(self):
+        # sum() of floats is compensated since CPython 3.12 and gives 0.6.
+        g = make_graph()
+        nodes = [add_node(g, i) for i in range(1, 5)]
+        for a, b, km in zip(nodes, nodes[1:], (0.1, 0.2, 0.3)):
+            g.add_fiber_link(a, b, km)
+        assert g.path_length(nodes) == path_length(g, nodes) == (0.1 + 0.2) + 0.3
+
     def test_broken_path(self):
         g = make_graph()
         n1, n2, n3 = add_node(g, 1), add_node(g, 2), add_node(g, 3)

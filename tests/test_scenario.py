@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibnsim.compilation import BlockReason
 from ibnsim.errors import ScenarioError, ScenarioParseError, ScenarioValidationError
 from ibnsim.export import export_topology
+from ibnsim.intents import ConnectivityIntent
+from ibnsim.multidomain import Delegate
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
 from ibnsim.scenario import parse_scenario, render_scenario
 from ibnsim.simulation import Simulation
@@ -170,8 +173,53 @@ class TestBuildDomains:
         }
         assert stubs == {"1.1": False, "1.2": False, "2.1": True}
         assert d1.graph.slot_count == 16
-        assert d1.neighbor_hops == {2: {1: 1, 2: 0}}
-        assert d2.neighbor_hops == {1: {1: 0, 2: 1}}
+        assert d1.next_hop == {2: 2}
+        assert d2.next_hop == {1: 1}
+
+    def test_route_domains_picks_the_nearest_neighbor_then_the_lowest_id(self):
+        # Borders 1-2, 1-3, 2-4, 3-4 and 3-5; every domain has nodes 1 and 2.
+        doc = {
+            "schema": 1,
+            "domains": [
+                {
+                    "id": did,
+                    "nodes": [
+                        {"local": n, "ports": 4, "port_rate": 400, "add_drop": 4}
+                        for n in (1, 2)
+                    ],
+                    "links": [{"a": 1, "b": 2, "length": 50.0}],
+                }
+                for did in range(1, 6)
+            ],
+            "border_links": [
+                {"a": list(a), "b": list(b), "length": 80.0}
+                for a, b in [
+                    ((1, 1), (2, 1)),
+                    ((1, 2), (3, 1)),
+                    ((2, 2), (4, 1)),
+                    ((3, 2), (4, 2)),
+                    ((3, 2), (5, 1)),
+                ]
+            ],
+        }
+        domains = parse_scenario(doc).build_domains()
+        # 1 reaches 4 through 2 or 3, 2 reaches 3 and 5 through 1 or 4, and
+        # 4 reaches 1 through 2 or 3: each tie goes to the lower id.
+        assert {did: ctrl.next_hop for did, ctrl in domains.items()} == {
+            1: {2: 2, 3: 3, 4: 2, 5: 3},
+            2: {1: 1, 3: 1, 4: 4, 5: 1},
+            3: {1: 1, 2: 1, 4: 4, 5: 5},
+            4: {1: 2, 2: 2, 3: 3, 5: 3},
+            5: {1: 3, 2: 3, 3: 3, 4: 3},
+        }
+        d1 = domains[1]
+        assert d1.next_hop.get(9) is None
+        unknown = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(9, 1), 100))
+        assert d1.compile(unknown).reason is BlockReason.NO_PATH
+        assert not d1.outbox
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(4, 1), 100))
+        d1.compile(iid)
+        assert [(m.receiver, type(m.body)) for m in d1.outbox] == [(2, Delegate)]
 
     @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
     def test_controllers_share_no_mutable_state(self, name):

@@ -10,6 +10,7 @@ from ibnsim.intents import ConnectivityIntent, IntentState, LightpathIntent
 from ibnsim.network import NodeId
 from ibnsim.scenario import parse_scenario
 from ibnsim.simulation import (
+    POLICY_NONE,
     EventKind,
     Simulation,
     TrafficConfig,
@@ -328,7 +329,7 @@ class TestMonitorFailure:
     def test_policy_none_leaves_failed(self):
         ctrl, a, b, c = triangle_domain()
         iid = installed(ctrl, a, b)
-        recovered = monitor_failure({1: ctrl}, a, b, policy="none")
+        recovered = monitor_failure({1: ctrl}, a, b, policy=POLICY_NONE)
         assert recovered == 0
         assert ctrl.dag.aggregate_state(iid) is IntentState.FAILED
 
@@ -409,7 +410,7 @@ class TestFailureInSimulation:
         doc = domain_doc(
             [1, 2],
             [(1, 2, 100.0)],
-            recovery="none",
+            recovery=POLICY_NONE,
             events=[
                 {
                     "time": 0.0,
