@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import BookingConflictError, NotLocalSourceError, WrongStateError
 from .intents import (
+    HOLDING_STATES,
     ConnectivityIntent,
     IntentState,
     LightpathIntent,
@@ -205,7 +206,6 @@ def install_intent(domain, iid) -> InstallOutcome:
     bit-identical to the pre-call state.
     """
     dag = domain.dag
-    dag.payload(iid)
     agg = dag.aggregate_state(iid)
     if agg is not IntentState.COMPILED:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected compiled")
@@ -216,11 +216,11 @@ def install_intent(domain, iid) -> InstallOutcome:
     outcome = InstallOutcome.INSTALLED
     try:
         for leaf in dag.leaves_under(iid):
-            payload = dag.payload(leaf)
+            payload = dag.nodes[leaf].payload
             if isinstance(payload, RemoteIntent):
                 outcome = InstallOutcome.PENDING
                 continue
-            if dag.state(leaf) is not IntentState.COMPILED:
+            if dag.nodes[leaf].state is not IntentState.COMPILED:
                 continue
             if isinstance(payload, RouterPortIntent):
                 graph.reserve_port(payload.node, leaf, payload.rate)
@@ -253,14 +253,14 @@ def uninstall_intent(domain, iid) -> None:
     dag = domain.dag
     holding = [
         leaf for leaf in dag.leaves_under(iid)
-        if not isinstance(dag.payload(leaf), RemoteIntent)
-        and dag.state(leaf) in (IntentState.INSTALLED, IntentState.FAILED)
+        if dag.nodes[leaf].state in HOLDING_STATES
+        and not isinstance(dag.nodes[leaf].payload, RemoteIntent)
     ]
     if not holding:
         agg = dag.aggregate_state(iid)
         raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
     for leaf in holding:
-        _release(domain.graph, leaf, dag.payload(leaf))
+        _release(domain.graph, leaf, dag.nodes[leaf].payload)
         dag.transition(leaf, IntentState.COMPILED)
 
 

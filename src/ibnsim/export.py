@@ -5,9 +5,10 @@ which keeps golden-file comparisons and replay-determinism checks simple.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .intents import IntentDAG, IntentState, LightpathIntent, intent_kind
+from .intents import HOLDING_STATES, IntentDAG, IntentState, LightpathIntent, intent_kind
 from .simulation import Metrics
 
 
@@ -97,7 +98,7 @@ def export_topology(domains: dict) -> dict:
             }
             for iid, node in sorted(ctrl.dag.nodes.items())
             if isinstance(node.payload, LightpathIntent)
-            and node.state in (IntentState.INSTALLED, IntentState.FAILED)
+            and node.state in HOLDING_STATES
         ]
         doc["domains"].append(
             {"id": did, "nodes": nodes, "fiber_links": links, "virtual_links": virtual}
@@ -151,9 +152,24 @@ def metrics_csv(metrics: Metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
+# json.dumps(sort_keys=True) of a message entry, as one template.
+_MESSAGE_LINE = ('{{"body": {}, "event": "message", "from": {}, "kind": "{}", '
+                 '"mseq": {}, "time": {}, "to": {}}}\n')
+
+
 def event_log_text(event_log: list) -> str:
-    """Replayable event log, one JSON object per line."""
-    return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in event_log)
+    """Replayable event log, one JSON object per line with sorted keys; a
+    message entry holds the delivered ``Message``, rendered here."""
+    lines = []
+    for entry in event_log:
+        if entry["event"] == "message":
+            msg = entry["message"]
+            lines.append(_MESSAGE_LINE.format(
+                encode_basestring_ascii(repr(msg.body)), msg.sender, msg.kind(),
+                msg.seq, float.__repr__(entry["time"]), msg.receiver))
+        else:
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 # -- run artifacts ------------------------------------------------------------------

@@ -49,6 +49,14 @@ ALLOWED_TRANSITIONS = frozenset(
     }
 )
 
+# Both tables on each member, read without hashing an enum (a Python call).
+for _state in IntentState:
+    _state.rank = _AGGREGATE_ORDER.index(_state)
+    _state.successors = tuple(to for to in IntentState if (_state, to) in ALLOWED_TRANSITIONS)
+
+# States in which an intent holds its reservations until uninstalled.
+HOLDING_STATES = (IntentState.INSTALLED, IntentState.FAILED)
+
 
 class IntentId(NamedTuple):
     """Globally traceable intent identifier: (owning domain, counter)."""
@@ -152,7 +160,7 @@ _KIND_NAMES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class IntentNode:
     """One intent.  ``state`` is read only while ``children`` is empty; a
     node with children has its state derived by ``aggregate_state``."""
@@ -161,6 +169,13 @@ class IntentNode:
     state: IntentState = IntentState.UNCOMPILED
     parent: Optional[IntentId] = None
     children: list = field(default_factory=list)  # list[IntentId]
+
+
+class _NodeTable(dict):
+    """IntentId -> IntentNode whose lookup of an unknown id raises UnknownIntentError."""
+
+    def __missing__(self, iid):
+        raise UnknownIntentError(f"unknown intent {iid}")
 
 
 @dataclass
@@ -176,17 +191,11 @@ class IntentDAG:
     """
 
     domain: int = 0
-    nodes: dict = field(default_factory=dict)  # IntentId -> IntentNode
+    nodes: dict = field(default_factory=_NodeTable)  # IntentId -> IntentNode
     failed: set = field(default_factory=set)  # IntentId
     _counter: int = 0
 
     # -- structure ---------------------------------------------------------
-
-    def _node(self, iid: IntentId) -> IntentNode:
-        node = self.nodes.get(iid)
-        if node is None:
-            raise UnknownIntentError(f"unknown intent {iid}")
-        return node
 
     def add_intent(self, payload) -> IntentId:
         payload.validate()
@@ -196,17 +205,17 @@ class IntentDAG:
         return iid
 
     def add_child(self, parent: IntentId, payload) -> IntentId:
-        siblings = self._node(parent).children
+        siblings = self.nodes[parent].children
         child = self.add_intent(payload)
         self.nodes[child].parent = parent
         siblings.append(child)
         return child
 
     def children(self, iid: IntentId) -> list:
-        return list(self._node(iid).children)
+        return list(self.nodes[iid].children)
 
     def parent(self, iid: IntentId) -> Optional[IntentId]:
-        return self._node(iid).parent
+        return self.nodes[iid].parent
 
     def roots(self) -> list:
         return [iid for iid, node in self.nodes.items() if node.parent is None]
@@ -214,7 +223,7 @@ class IntentDAG:
     def lineage(self, iid: IntentId) -> list:
         """``iid``, its parent, and so on up to its root."""
         chain = [iid]
-        parent = self._node(iid).parent
+        parent = self.nodes[iid].parent
         while parent is not None:
             chain.append(parent)
             parent = self.nodes[parent].parent
@@ -224,29 +233,34 @@ class IntentDAG:
         """``iid`` and every intent below it, parents before children."""
         out = [iid]
         for node in out:
-            out.extend(self._node(node).children)
+            out += self.nodes[node].children
         return out
 
     def leaves_under(self, iid: IntentId) -> list:
         """Leaf intents of the subtree rooted at ``iid`` (may be iid itself),
         left to right."""
-        kids = self._node(iid).children
-        if not kids:
-            return [iid]
-        return [leaf for kid in kids for leaf in self.leaves_under(kid)]
+        leaves, stack = [], [iid]
+        while stack:
+            top = stack.pop()
+            kids = self.nodes[top].children
+            if kids:
+                stack += reversed(kids)
+            else:
+                leaves.append(top)
+        return leaves
 
     # -- lifecycle ---------------------------------------------------------
 
     def state(self, iid: IntentId) -> IntentState:
-        return self._node(iid).state
+        return self.nodes[iid].state
 
     def payload(self, iid: IntentId):
-        return self._node(iid).payload
+        return self.nodes[iid].payload
 
     def transition(self, iid: IntentId, to: IntentState) -> IntentState:
         """Move ``iid`` along a legal lifecycle edge and return the new state."""
-        node = self._node(iid)
-        if (node.state, to) not in ALLOWED_TRANSITIONS:
+        node = self.nodes[iid]
+        if to not in node.state.successors:
             raise IllegalTransitionError(
                 f"illegal transition {node.state.value} -> {to.value} for {iid}"
             )
@@ -264,15 +278,20 @@ class IntentDAG:
         soon as any descendant leaf is failed, otherwise the minimum of its
         children's aggregate states under uncompiled < compiled < installed.
         """
-        return self._aggregate(self._node(iid))
+        node = self.nodes[iid]
+        return self._aggregate(node) if node.children else node.state
 
     def _aggregate(self, node: IntentNode) -> IntentState:
-        if not node.children:
-            return node.state
-        states = [self._aggregate(self.nodes[kid]) for kid in node.children]
-        for state in _AGGREGATE_ORDER:
-            if state in states:
-                return state
+        """Aggregate of a node that has children."""
+        rank = len(_AGGREGATE_ORDER) - 1
+        for kid in node.children:
+            child = self.nodes[kid]
+            state = self._aggregate(child) if child.children else child.state
+            if state.rank < rank:
+                rank = state.rank
+                if not rank:  # FAILED: no child can change the result
+                    break
+        return _AGGREGATE_ORDER[rank]
 
     # -- removal -----------------------------------------------------------
 
@@ -283,7 +302,7 @@ class IntentDAG:
         removed identifiers.
         """
         agg = self.aggregate_state(iid)
-        if agg in (IntentState.INSTALLED, IntentState.FAILED):
+        if agg in HOLDING_STATES:
             raise StillInstalledError(
                 f"intent {iid} is {agg.value}; uninstall before removing"
             )

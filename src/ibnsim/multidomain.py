@@ -28,6 +28,7 @@ from .compilation import (
 )
 from .errors import UnknownRemoteError
 from .intents import (
+    HOLDING_STATES,
     ConnectivityIntent,
     IntentDAG,
     IntentId,
@@ -176,10 +177,11 @@ class DomainController:
 
     def mirrors(self, iid: IntentId) -> list:
         """(node, RemoteIntent) of every delegated child of ``iid``."""
+        nodes = self.dag.nodes
         return [
-            (child, self.dag.payload(child))
-            for child in self.dag.children(iid)
-            if isinstance(self.dag.payload(child), RemoteIntent)
+            (child, nodes[child].payload)
+            for child in nodes[iid].children
+            if isinstance(nodes[child].payload, RemoteIntent)
         ]
 
     def install(self, iid: IntentId) -> InstallOutcome:
@@ -209,22 +211,23 @@ class DomainController:
             if child == skip:
                 continue
             self.pending_installs.discard(child)
-            if self.dag.state(child) in (IntentState.INSTALLED, IntentState.FAILED):
+            if self.dag.state(child) in HOLDING_STATES:
                 self.send(mirror.neighbor, Uninstall(mirror.remote_id))
 
     def remove(self, iid: IntentId) -> None:
-        """Remove an intent subtree, withdrawing any delegated parts."""
-        doomed = self.dag.subtree(iid)
-        for node in sorted(doomed):
-            payload = self.dag.payload(node)
-            if isinstance(payload, RemoteIntent) and payload.remote_id is not None:
+        """Remove an intent subtree and withdraw its delegated parts; a refusal has no effect."""
+        nodes = self.dag.nodes
+        mirrors = [(node, nodes[node].payload) for node in self.dag.subtree(iid)
+                   if isinstance(nodes[node].payload, RemoteIntent)]
+        self.dag.remove_intent(iid)
+        for node, payload in sorted(mirrors):
+            if payload.remote_id is not None:
                 self.send(payload.neighbor, Remove(payload.remote_id))
                 self.mirror_index.pop(payload.remote_id, None)
                 self.pending_installs.discard(node)
-        self.dag.remove_intent(iid)
-        for node in doomed:
-            self.origins.pop(node, None)
-            self.last_notified.pop(node, None)
+        # Delegated intents are roots, so no other removed id is a key here.
+        self.origins.pop(iid, None)
+        self.last_notified.pop(iid, None)
 
     # -- state notification --------------------------------------------------
 
@@ -348,21 +351,10 @@ def handle_message(domain: DomainController, msg: Message) -> None:
     """Apply one inbound message to the receiving controller."""
     if msg.receiver != domain.id:
         raise ValueError(f"message for domain {msg.receiver} given to {domain.id}")
-    body = msg.body
-    if isinstance(body, Delegate):
-        _handle_delegate(domain, msg)
-    elif isinstance(body, Ack):
-        _handle_ack(domain, msg)
-    elif isinstance(body, StateNotify):
-        _handle_state_notify(domain, msg)
-    elif isinstance(body, InstallRequest):
-        _handle_install_request(domain, msg)
-    elif isinstance(body, Uninstall):
-        _handle_uninstall(domain, msg)
-    elif isinstance(body, Remove):
-        _handle_remove(domain, msg)
-    else:
-        raise ValueError(f"unknown message body {body!r}")
+    handler = _HANDLERS.get(type(msg.body))
+    if handler is None:
+        raise ValueError(f"unknown message body {msg.body!r}")
+    handler(domain, msg)
 
 
 def _handle_delegate(domain, msg):
@@ -434,7 +426,7 @@ def _handle_uninstall(domain, msg):
     if rid not in domain.dag.nodes:
         raise UnknownRemoteError(f"uninstall for unknown intent {rid}")
     agg = domain.dag.aggregate_state(rid)
-    if agg in (IntentState.INSTALLED, IntentState.FAILED):
+    if agg in HOLDING_STATES:
         domain.uninstall(rid)
     _reply_state(domain, msg.sender, rid)
 
@@ -450,6 +442,17 @@ def _reply_state(domain, receiver, rid):
     state = domain.dag.aggregate_state(rid)
     domain.last_notified[rid] = state
     domain.send(receiver, StateNotify(rid, state))
+
+
+# Body type -> handler; bodies are deeply frozen, as export.event_log_text needs.
+_HANDLERS = {
+    Delegate: _handle_delegate,
+    Ack: _handle_ack,
+    StateNotify: _handle_state_notify,
+    InstallRequest: _handle_install_request,
+    Uninstall: _handle_uninstall,
+    Remove: _handle_remove,
+}
 
 
 # -- transport ------------------------------------------------------------------
@@ -469,8 +472,9 @@ def deliver_messages(domains: dict) -> list:
     while True:
         pending = []
         for sender in senders:
-            pending += sender.outbox
-            sender.outbox.clear()
+            if sender.outbox:
+                pending += sender.outbox
+                sender.outbox.clear()
         if not pending:
             return delivered
         for msg in pending:

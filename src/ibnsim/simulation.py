@@ -31,7 +31,7 @@ from .compilation import (
     uninstall_intent,
 )
 from .errors import ConservationError, InvalidConfigError, LinkStateError, UnknownLinkError
-from .intents import ConnectivityIntent, IntentId, IntentState, RemoteIntent
+from .intents import HOLDING_STATES, ConnectivityIntent, IntentId, IntentState, RemoteIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
 
@@ -418,7 +418,7 @@ class Simulation:
         iid = event.intent_id
         ctrl = self.domains[iid.domain]
         agg = ctrl.dag.aggregate_state(iid)
-        if agg in (IntentState.INSTALLED, IntentState.FAILED):
+        if agg in HOLDING_STATES:
             ctrl.uninstall(iid)
             self._deliver()
         ctrl.remove(iid)
@@ -452,18 +452,9 @@ class Simulation:
     # -- plumbing ----------------------------------------------------------------
 
     def _deliver(self) -> None:
-        for msg in deliver_messages(self.domains):
-            self.event_log.append(
-                {
-                    "time": self.now,
-                    "event": "message",
-                    "from": msg.sender,
-                    "to": msg.receiver,
-                    "mseq": msg.seq,
-                    "kind": msg.kind(),
-                    "body": repr(msg.body),
-                }
-            )
+        # The frozen Message is kept as is; export.event_log_text renders it.
+        self.event_log += [{"time": self.now, "event": "message", "message": msg}
+                           for msg in deliver_messages(self.domains)]
 
     def _sample_utilization(self) -> None:
         reserved = sum(d.graph.reserved_cells for d in self.domains.values())

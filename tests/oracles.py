@@ -6,7 +6,10 @@ every start index, and the compilation oracle from enumerating all feasible
 (path, mode, slot) triples.
 """
 
+import dataclasses
+import enum
 import heapq
+from collections import deque
 
 from ibnsim.network import link_key
 
@@ -401,3 +404,50 @@ def brute_aggregate(parent_of, stored, iid):
     if IntentState.FAILED in states:
         return IntentState.FAILED
     return min(states, key=progress.index)
+
+
+def event_log_text(event_log):
+    """``events.log`` as ``json.dumps(entry, sort_keys=True)`` per entry, with
+    a message entry first spelled out as the dict it used to be logged as."""
+    import json
+
+    lines = []
+    for entry in event_log:
+        if entry["event"] == "message":
+            msg = entry["message"]
+            entry = {
+                "time": entry["time"],
+                "event": "message",
+                "from": msg.sender,
+                "to": msg.receiver,
+                "mseq": msg.seq,
+                "kind": msg.kind(),
+                "body": repr(msg.body),
+            }
+        lines.append(json.dumps(entry, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def mutables(value, seen=None):
+    """Every mutable object reachable from ``value``: dicts, lists, sets,
+    deques and objects that are not frozen dataclasses, and all they hold."""
+    seen = set() if seen is None else seen
+    if id(value) in seen or value is None or isinstance(
+            value, (str, bytes, int, float, enum.Enum, type)):
+        return
+    seen.add(id(value))
+    frozen = (isinstance(value, tuple) or dataclasses.is_dataclass(value)
+              and value.__dataclass_params__.frozen)
+    if not frozen:
+        yield value
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset, deque)):
+        children = list(value)
+    else:
+        # Slotted dataclasses (IntentNode) have no __dict__: walk their fields.
+        children = list(getattr(value, "__dict__", {}).values())
+        if dataclasses.is_dataclass(value):
+            children += [getattr(value, f.name) for f in dataclasses.fields(value)]
+    for child in children:
+        yield from mutables(child, seen)

@@ -1,12 +1,34 @@
+import dataclasses
 import re
+from pathlib import Path
 
+import pytest
+
+from ibnsim import multidomain
 from ibnsim.compilation import compile_connectivity, install_intent
-from ibnsim.export import export_dag, export_topology, metrics_csv
-from ibnsim.intents import ConnectivityIntent, IntentDAG, RouterPortIntent
+from ibnsim.export import event_log_text, export_dag, export_topology, metrics_csv
+from ibnsim.intents import (
+    ConnectivityIntent,
+    ExcludeLink,
+    IntentDAG,
+    IntentId,
+    RouterPortIntent,
+)
+from ibnsim.multidomain import Delegate, Message, Remove
 from ibnsim.network import NodeId
-from ibnsim.simulation import POLICY_NONE, IntentRecord, Metrics, monitor_failure
+from ibnsim.scenario import parse_scenario
+from ibnsim.simulation import (
+    POLICY_NONE,
+    IntentRecord,
+    Metrics,
+    Simulation,
+    monitor_failure,
+)
 
+from . import oracles
 from .builders import chain, make_domain
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 N1 = NodeId(1, 1)
 N2 = NodeId(1, 2)
@@ -114,3 +136,42 @@ class TestMetricsCsv:
         assert lines[0] == "metric,value"
         assert "offered,3" in lines
         assert lines[-1] == "1#3,blocked,,"
+
+
+def scenario_log(name):
+    return Simulation(parse_scenario((SCENARIOS / name).read_text())).run().event_log
+
+
+class TestEventLogText:
+    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
+    def test_run_log_matches_the_json_dumps_oracle(self, name):
+        log = scenario_log(name)
+        assert any(entry["event"] == "message" for entry in log)
+        assert event_log_text(log) == oracles.event_log_text(log)
+
+    def test_escaped_body_matches_the_json_dumps_oracle(self):
+        body = Remove(remote_id='say "hi" \\ bye\nen été')
+        log = [
+            {"time": 0.5, "event": "message", "message": Message(1, 2, 3, body)},
+            {"time": 0.5, "seq": 1, "event": "departure", "intent": "1#1",
+             "state_at_departure": "installed"},
+        ]
+        text = event_log_text(log)
+        assert text == oracles.event_log_text(log)
+        assert text.isascii() and text.count("\n") == 2
+
+    def test_message_bodies_are_deeply_frozen(self):
+        # event_log_text renders a message long after it was delivered.
+        kinds = [*multidomain._HANDLERS, ConnectivityIntent, RouterPortIntent, ExcludeLink]
+        for kind in kinds:
+            assert dataclasses.is_dataclass(kind) and kind.__dataclass_params__.frozen, kind
+        assert issubclass(NodeId, tuple) and issubclass(IntentId, tuple)
+        excluding = ConnectivityIntent(NodeId(2, 1), NodeId(2, 3), 100,
+                                       (ExcludeLink(NodeId(2, 1), NodeId(2, 2)),))
+        bodies = [Delegate(excluding, IntentId(1, 2))] + [
+            entry["message"].body
+            for name in ("reference.json", "three_domain_line.json")
+            for entry in scenario_log(name) if entry["event"] == "message"
+        ]
+        assert {type(b) for b in bodies} == set(multidomain._HANDLERS)
+        assert [m for b in bodies for m in oracles.mutables(b)] == []

@@ -12,6 +12,7 @@ from ibnsim.intents import (
     ALLOWED_TRANSITIONS,
     ConnectivityIntent,
     IntentDAG,
+    IntentId,
     IntentState,
     RouterPortIntent,
 )
@@ -64,8 +65,6 @@ class TestAddChild:
 
     def test_unknown_parent(self):
         dag = fresh_dag()
-        from ibnsim.intents import IntentId
-
         with pytest.raises(UnknownIntentError):
             dag.add_child(IntentId(1, 9), RouterPortIntent(N1, 100))
 
@@ -167,10 +166,40 @@ class TestRemoveIntent:
 
     def test_unknown_intent(self):
         dag = fresh_dag()
-        from ibnsim.intents import IntentId
-
         with pytest.raises(UnknownIntentError):
             dag.remove_intent(IntentId(1, 9))
+
+
+ACCESSORS = {
+    "payload": lambda dag, iid: dag.payload(iid),
+    "state": lambda dag, iid: dag.state(iid),
+    "transition": lambda dag, iid: dag.transition(iid, C),
+    "children": lambda dag, iid: dag.children(iid),
+    "parent": lambda dag, iid: dag.parent(iid),
+    "lineage": lambda dag, iid: dag.lineage(iid),
+    "subtree": lambda dag, iid: dag.subtree(iid),
+    "leaves_under": lambda dag, iid: dag.leaves_under(iid),
+    "aggregate_state": lambda dag, iid: dag.aggregate_state(iid),
+    "add_child": lambda dag, iid: dag.add_child(iid, RouterPortIntent(N1, 100)),
+    "remove_intent": lambda dag, iid: dag.remove_intent(iid),
+}
+
+
+@pytest.mark.parametrize("gone", ["never-added", "removed"])
+@pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+def test_every_accessor_refuses_an_unknown_id(accessor, gone):
+    dag = fresh_dag()
+    root = dag.add_intent(ConnectivityIntent(N1, N5, 100))
+    child = dag.add_child(root, RouterPortIntent(N1, 100))
+    if gone == "removed":
+        dag.remove_intent(child)
+        iid = child
+    else:
+        iid = IntentId(1, 99)
+    before = (dict(dag.nodes), dag.children(root), set(dag.failed), dag._counter)
+    with pytest.raises(UnknownIntentError, match=f"unknown intent {iid}"):
+        ACCESSORS[accessor](dag, iid)
+    assert (dict(dag.nodes), dag.children(root), set(dag.failed), dag._counter) == before
 
 
 # -- properties ----------------------------------------------------------------

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from ibnsim import multidomain
 from ibnsim.compilation import BlockReason, CompileOutcome, InstallOutcome
-from ibnsim.errors import UnknownRemoteError, WrongStateError
+from ibnsim.errors import StillInstalledError, UnknownRemoteError, WrongStateError
 from ibnsim.intents import (
     ConnectivityIntent,
     IntentId,
@@ -18,9 +20,13 @@ from ibnsim.multidomain import (
     handle_message,
 )
 from ibnsim.network import NodeId
+from ibnsim.scenario import parse_scenario
+from ibnsim.simulation import monitor_failure
 
 from .builders import make_domain, make_domains, reserve, snapshot
 from .oracles import free_slots, mirror_mismatches, notification_mismatches
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 U = IntentState.UNCOMPILED
 C = IntentState.COMPILED
@@ -356,6 +362,36 @@ class TestTeardown:
         assert not d2.dag.nodes  # delegated intent withdrawn
         assert not d2.origins
 
+    def test_remove_while_installed_refuses_before_any_side_effect(self):
+        doc = (SCENARIOS / "three_domain_line.json").read_text()
+        domains = parse_scenario(doc).build_domains()
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(3, 2), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        assert d1.install(iid) is InstallOutcome.PENDING
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is I
+
+        def bookkeeping(ctrl):
+            return (set(ctrl.dag.nodes), dict(ctrl.mirror_index), dict(ctrl.origins),
+                    dict(ctrl.last_notified), set(ctrl.pending_installs))
+
+        before = {did: bookkeeping(ctrl) for did, ctrl in domains.items()}
+        with pytest.raises(StillInstalledError, match=f"intent {iid} is installed"):
+            d1.remove(iid)
+        assert not d1.outbox
+        assert {did: bookkeeping(ctrl) for did, ctrl in domains.items()} == before
+        assert deliver_messages(domains) == []
+
+        d1.uninstall(iid)
+        deliver_messages(domains)
+        d1.remove(iid)
+        deliver_messages(domains)
+        for ctrl in domains.values():
+            assert bookkeeping(ctrl) == (set(), {}, {}, {}, set())
+            assert ctrl.graph.reserved_cells == 0
+
     def test_knowledge_partition(self):
         domains = two_domains()
         for did, ctrl in domains.items():
@@ -375,7 +411,7 @@ class TestTeardown:
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: intra-domain routing transits a foreign stub node",
+    reason="ROADMAP item 3: intra-domain routing transits a foreign stub node",
 )
 def test_intra_domain_route_never_transits_a_foreign_stub():
     """Domain 1's nodes 1.1 and 1.2 share no fiber; each has a border fiber
@@ -397,10 +433,34 @@ def test_intra_domain_route_never_transits_a_foreign_stub():
     assert result.reason is BlockReason.NO_PATH
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="route_domains ignores link state and compile_crossdomain tries "
+           "one neighbor; the fix changes output, so it lands with a re-pin",
+)
+def test_crossdomain_compile_detours_around_a_down_border_fiber():
+    """Borders 1-2, 1-3, 2-4, 3-4 and 3-5.  With fiber 1.1-2.1 down, domain
+    1 still reaches 4.1 through domain 3, so the intent must not block."""
+    domains = make_domains(
+        sizes={did: 2 for did in range(1, 6)},
+        borders=[
+            (NodeId(a, i), NodeId(b, j), 80.0)
+            for (a, i), (b, j) in [((1, 1), (2, 1)), ((1, 2), (3, 1)),
+                                   ((2, 2), (4, 1)), ((3, 2), (4, 2)),
+                                   ((3, 2), (5, 1))]
+        ],
+    )
+    monitor_failure(domains, NodeId(1, 1), NodeId(2, 1))
+    d1 = domains[1]
+    iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(4, 1), 100))
+    result = d1.compile(iid)
+    assert result.outcome is CompileOutcome.COMPILED, result.reason
+    deliver_messages(domains)
+    assert d1.dag.aggregate_state(iid) is C
+
+
 class TestFailuresAcrossDomains:
     def test_remote_failure_recovers_autonomously(self):
-        from ibnsim.simulation import monitor_failure
-
         domains = two_domains()
         d1, d2 = domains[1], domains[2]
         iid = installed_crossdomain_intent(domains)
@@ -418,8 +478,6 @@ class TestFailuresAcrossDomains:
         assert mirror_mismatches(domains) == []
 
     def test_remote_failure_without_backup_mirrors_failed(self):
-        from ibnsim.simulation import monitor_failure
-
         domains = two_domains()
         d1 = domains[1]
         iid = installed_crossdomain_intent(domains)
@@ -503,8 +561,6 @@ class TestFailuresAcrossDomains:
         assert mirror_mismatches(domains) == []
 
     def test_local_segment_failure_recovers_without_touching_remote(self):
-        from ibnsim.simulation import monitor_failure
-
         domains = two_domains()
         d1, d2 = domains[1], domains[2]
         iid = installed_crossdomain_intent(domains)
@@ -524,8 +580,6 @@ class TestFailuresAcrossDomains:
                 (NodeId(1, 1), NodeId(2, 5), 400.0),
             ],
         )
-        from ibnsim.simulation import monitor_failure
-
         monitor_failure(domains, NodeId(1, 3), NodeId(2, 1))
         d1 = domains[1]
         iid = d1.add_intent(ConnectivityIntent(NodeId(1, 2), NodeId(2, 3), 100))

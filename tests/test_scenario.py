@@ -1,8 +1,5 @@
 import copy
-import dataclasses
-import enum
 import json
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,11 +9,13 @@ from hypothesis import strategies as st
 from ibnsim.compilation import BlockReason
 from ibnsim.errors import ScenarioError, ScenarioParseError, ScenarioValidationError
 from ibnsim.export import export_topology
-from ibnsim.intents import ConnectivityIntent
+from ibnsim.intents import ConnectivityIntent, IntentNode, RemoteIntent
 from ibnsim.multidomain import Delegate
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
 from ibnsim.scenario import parse_scenario, render_scenario
 from ibnsim.simulation import Simulation
+
+from .oracles import mutables
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -227,37 +226,20 @@ class TestBuildDomains:
         reached_from = {}
         for did, ctrl in domains.items():
             for attr, value in vars(ctrl).items():
-                for obj in _mutables(value):
+                for obj in mutables(value):
                     first = reached_from.setdefault(id(obj), (did, attr))
                     assert first[0] == did, f"{did}.{attr} shares {obj!r:.60} with {first}"
+
+    def test_mutables_walks_slotted_intent_nodes(self):
+        node = IntentNode(RemoteIntent(neighbor=2))
+        found = [id(obj) for obj in mutables(node)]
+        assert id(node.children) in found and id(node.payload) in found
 
     def test_build_events_from_traffic(self):
         sc = parse_scenario(two_domain_doc())
         events = sc.build_events()
         assert len(events) == 10
         assert all(e.intent.src == NodeId(1, 1) for e in events)
-
-
-def _mutables(value, seen=None):
-    """Every mutable object reachable from ``value``: dicts, lists, sets,
-    deques and objects that are not frozen dataclasses, and all they hold."""
-    seen = set() if seen is None else seen
-    if id(value) in seen or value is None or isinstance(
-            value, (str, bytes, int, float, enum.Enum, type)):
-        return
-    seen.add(id(value))
-    frozen = (isinstance(value, tuple) or dataclasses.is_dataclass(value)
-              and value.__dataclass_params__.frozen)
-    if not frozen:
-        yield value
-    if isinstance(value, dict):
-        children = [*value.keys(), *value.values()]
-    elif isinstance(value, (list, tuple, set, frozenset, deque)):
-        children = list(value)
-    else:
-        children = list(getattr(value, "__dict__", {}).values())
-    for child in children:
-        yield from _mutables(child, seen)
 
 
 # -- input boundary ---------------------------------------------------------------
