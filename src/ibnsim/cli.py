@@ -128,6 +128,8 @@ def _read_state(path: str) -> dict:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ScenarioError(f"{path} is nested too deeply") from None
+    except ValueError as exc:  # an integer past CPython's digit limit
+        raise ScenarioError(f"{path}: {exc}") from None
     problem = _state_problem(state)
     if problem is not None:
         raise ScenarioError(f"{path}: {problem}")

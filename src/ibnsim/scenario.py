@@ -216,6 +216,8 @@ def parse_scenario(document) -> Scenario:
             ) from None
         except RecursionError:
             raise ScenarioParseError("JSON is nested too deeply") from None
+        except ValueError as exc:  # an integer past CPython's digit limit
+            raise ScenarioParseError(f"invalid JSON: {exc}") from None
     elif isinstance(document, dict):
         raw = document
     else:
@@ -279,9 +281,13 @@ def _require(mapping, key, kind):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioParseError(f"field {key!r} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the largest double
+            value = math.inf
         if not math.isfinite(value):
             raise ScenarioParseError(f"field {key!r} must be finite")
-        return float(value)
+        return value
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioParseError(f"field {key!r} must be {kind.__name__}")
     return value

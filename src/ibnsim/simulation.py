@@ -6,10 +6,11 @@ messages are delivered to quiescence, so each event resolves fully before
 the next one runs.  The engine is single-threaded and replay-deterministic:
 the same scenario and seed always produce identical metrics and logs.
 
-Traffic synthesis uses the PCG64 generator (numpy's 64-bit permuted
-congruential generator) with inverse-CDF sampling for exponential
-inter-arrival and holding times, which makes event lists reproducible
-bit-for-bit across platforms.
+Traffic synthesis draws from numpy's PCG64 stream (``Generator(PCG64(seed))
+.random()``), reproduced in pure Python by ``pcg64``, so every seed gives
+the same traffic with or without numpy installed.  Inverse-CDF sampling
+gives the exponential inter-arrival and holding times, which makes event
+lists reproducible bit-for-bit across platforms.
 """
 
 import bisect
@@ -19,8 +20,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import numpy as np
 
 from .compilation import (
     CompileOutcome,
@@ -34,6 +33,7 @@ from .errors import ConservationError, InvalidConfigError, LinkStateError, Unkno
 from .intents import HOLDING_STATES, ConnectivityIntent, IntentId, IntentState, RemoteIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
+from .pcg64 import random_doubles
 
 log = logging.getLogger(__name__)
 
@@ -124,29 +124,33 @@ class TrafficConfig:
                 raise InvalidConfigError(f"bad traffic pair ({src}, {dst}, {weight})")
         if not self.rates or any(w <= 0 or r <= 0 for r, w in self.rates):
             raise InvalidConfigError("rates need positive gbps and weights")
+        # _pick scales a draw by the total; an infinite one picks the last.
+        for name, weights in (("pair", [w for _, _, w in self.pairs]),
+                              ("rate", [w for _, w in self.rates])):
+            if not math.isfinite(_cumulative(weights)[-1]):
+                raise InvalidConfigError(f"{name} weights must have a finite total")
 
 
 def generate_traffic(config: TrafficConfig, seed: int) -> list:
     """Synthesize ARRIVAL events with exponential inter-arrival/holding times.
 
-    Four PCG64 draws per arrival, in fixed order: inter-arrival, node pair,
-    rate, holding time.  Exponentials come from the inverse CDF
-    (-ln(1-u) / rate), so scaling the arrival rate rescales arrival times
-    exactly while leaving the rest of the stream untouched.
+    Four draws per arrival from numpy's PCG64 stream for ``seed`` (see
+    ``pcg64``), in fixed order: inter-arrival, node pair, rate, holding
+    time.  Exponentials come from the inverse CDF (-ln(1-u) / rate), so
+    scaling the arrival rate rescales arrival times exactly while leaving
+    the rest of the stream untouched.
     """
-    if config.arrivals == 0:
-        return []
-    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = iter(random_doubles(seed, 4 * config.arrivals))
     pair_cum = _cumulative([w for _, _, w in config.pairs])
     rate_cum = _cumulative([w for _, w in config.rates])
 
     events = []
     now = 0.0
-    for i in range(config.arrivals):
-        now += -math.log1p(-rng.random()) / config.arrival_rate
-        src, dst, _ = config.pairs[_pick(pair_cum, rng.random())]
-        rate = config.rates[_pick(rate_cum, rng.random())][0]
-        holding = -math.log1p(-rng.random()) * config.mean_holding
+    for i, (u_gap, u_pair, u_rate, u_hold) in enumerate(zip(draws, draws, draws, draws)):
+        now += -math.log1p(-u_gap) / config.arrival_rate
+        src, dst, _ = config.pairs[_pick(pair_cum, u_pair)]
+        rate = config.rates[_pick(rate_cum, u_rate)][0]
+        holding = -math.log1p(-u_hold) * config.mean_holding
         events.append(
             Event(
                 time=now,

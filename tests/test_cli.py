@@ -192,3 +192,39 @@ def test_scenario_parse_error_names_the_file(tmp_path, capsys, command, content,
     assert main([command, str(path)] + out) == 2
     assert capsys.readouterr().err == f"ibnsim: {path}: {problem}\n"
     assert not (tmp_path / "out").exists()
+
+
+LONG_INT = "9" * 5000  # past CPython's 4,300-digit int conversion limit
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "export-dag", "export-topology"])
+def test_overlong_json_integer_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    if command in ("validate", "run"):
+        text = (SCENARIOS / "single_link.json").read_text()
+        path.write_text(text.replace("{", '{"seed": ' + LONG_INT + ", ", 1))
+    else:
+        path.write_text('{"dags": {}, "topology": {"n": ' + LONG_INT + "}}")
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + out) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"ibnsim: {path}: ")
+    assert "Exceeds the limit" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda doc: doc["traffic"].update(rates=[{"gbps": 100, "weight": 1e308},
+                                              {"gbps": 400, "weight": 1e308}]),
+     "traffic: rate weights must have a finite total"),
+    (lambda doc: doc["traffic"].update(arrival_rate=10**400),
+     "field 'arrival_rate' must be finite"),
+], ids=["infinite-weight-total", "integer-beyond-double"])
+def test_traffic_number_that_overflows_exits_2(tmp_path, capsys, edit, problem):
+    doc = json.loads((SCENARIOS / "reference.json").read_text())
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"ibnsim: {path}: {problem}\n"
+    assert not (tmp_path / "out").exists()

@@ -220,15 +220,33 @@ class TestBuildDomains:
         d1.compile(iid)
         assert [(m.receiver, type(m.body)) for m in d1.outbox] == [(2, Delegate)]
 
-    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
-    def test_controllers_share_no_mutable_state(self, name):
-        domains = parse_scenario((SCENARIOS / name).read_text()).build_domains()
+    @staticmethod
+    def assert_no_shared_state(domains):
         reached_from = {}
         for did, ctrl in domains.items():
             for attr, value in vars(ctrl).items():
                 for obj in mutables(value):
                     first = reached_from.setdefault(id(obj), (did, attr))
                     assert first[0] == did, f"{did}.{attr} shares {obj!r:.60} with {first}"
+
+    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
+    def test_controllers_share_no_mutable_state(self, name):
+        self.assert_no_shared_state(parse_scenario((SCENARIOS / name).read_text()).build_domains())
+
+    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
+    def test_controllers_share_no_mutable_state_during_and_after_a_run(self, name):
+        # A run ends with every intent departed, so walk mid-run too, while
+        # DAGs, mirrors and bookings are populated.
+        populated = []
+
+        def audit(sim, event):
+            if event.seq % 50 == 0:
+                self.assert_no_shared_state(sim.domains)
+                populated.append(sum(len(c.dag.nodes) for c in sim.domains.values()))
+
+        result = Simulation(parse_scenario((SCENARIOS / name).read_text()), on_event=audit).run()
+        self.assert_no_shared_state(result.domains)
+        assert max(populated) > 0
 
     def test_mutables_walks_slotted_intent_nodes(self):
         node = IntentNode(RemoteIntent(neighbor=2))

@@ -85,6 +85,16 @@ class TestGenerateTraffic:
         with pytest.raises(InvalidConfigError):
             generate_traffic(TrafficConfig(10, 1.0, 5.0, ()), 1)
 
+    def test_pair_weights_need_a_finite_total(self):
+        pairs = ((N(1, 1), N(1, 2), 1e308), (N(1, 2), N(1, 1), 1e308))
+        with pytest.raises(InvalidConfigError, match="pair weights must have a finite total"):
+            TrafficConfig(10, 1.0, 5.0, pairs)
+
+    def test_rate_weights_need_a_finite_total(self):
+        # Each weight is finite, but u * inf would make _pick always choose 400.
+        with pytest.raises(InvalidConfigError, match="rate weights must have a finite total"):
+            TrafficConfig(10, 1.0, 5.0, PAIRS, rates=((100, 1e308), (400, 1e308)))
+
 
 # -- run ------------------------------------------------------------------------
 
