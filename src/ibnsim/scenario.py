@@ -22,6 +22,13 @@ SCHEMA_VERSION = 1
 
 RECOVERY_POLICIES = (POLICY_AUTO, POLICY_NONE)
 
+# Upper bounds on sizes that set what a run allocates (docs/schema.md says
+# why each is where it is).
+MAX_GRID_SIZE = 1024
+MAX_K_PATHS = 64
+
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -94,27 +101,19 @@ class Scenario:
         return controllers
 
     def build_events(self) -> list:
+        """The run's initial events, with ``seq`` 0..n-1 in list order."""
         if self.traffic is not None:
             return generate_traffic(self.traffic, self.seed)
+        kinds, arrival = _EVENT_KINDS, EventKind.ARRIVAL
         out = []
+        append = out.append
         for i, spec in enumerate(self.events):
-            kind = EventKind(spec["kind"])
-            if kind is EventKind.ARRIVAL:
-                out.append(
-                    Event(
-                        time=spec["time"],
-                        seq=i,
-                        kind=kind,
-                        intent=ConnectivityIntent(
-                            spec["src"], spec["dst"], spec["rate"]
-                        ),
-                        holding=spec["holding"],
-                    )
-                )
+            kind = kinds[spec["kind"]]
+            if kind is arrival:
+                intent = ConnectivityIntent(spec["src"], spec["dst"], spec["rate"])
+                append(Event(spec["time"], i, kind, intent, spec["holding"]))
             else:
-                out.append(
-                    Event(time=spec["time"], seq=i, kind=kind, link=spec["link"])
-                )
+                append(Event(spec["time"], i, kind, link=spec["link"]))
         return out
 
     # -- canonical rendering ---------------------------------------------------
@@ -233,8 +232,12 @@ def parse_scenario(document) -> Scenario:
     seed = _optional(raw, "seed", int, 0)
     if grid_size < 1:
         raise ScenarioValidationError("grid_size must be >= 1")
+    if grid_size > MAX_GRID_SIZE:
+        raise ScenarioValidationError(f"grid_size must be <= {MAX_GRID_SIZE}")
     if k_paths < 1:
         raise ScenarioValidationError("k_paths must be >= 1")
+    if k_paths > MAX_K_PATHS:
+        raise ScenarioValidationError(f"k_paths must be <= {MAX_K_PATHS}")
     if recovery not in RECOVERY_POLICIES:
         raise ScenarioValidationError(
             f"recovery must be one of {RECOVERY_POLICIES}, got {recovery!r}"
@@ -270,7 +273,19 @@ def parse_scenario(document) -> Scenario:
     )
 
 
+_isfinite = math.isfinite
+
+
 def _require(mapping, key, kind):
+    # Fast path: a plain dict holding a value of exactly the wanted type
+    # (bool is not int, and a number must be finite); a missing key reads as
+    # None, which is never that type.  Everything else takes the full checks
+    # below.  A dict subclass never takes it, so that a defaultdict is asked
+    # ``key in mapping`` and does not grow the key.
+    if type(mapping) is dict:
+        value = mapping.get(key)
+        if type(value) is kind and (kind is not float or _isfinite(value)):
+            return value
     if not isinstance(mapping, dict):
         raise ScenarioParseError(
             f"expected an object holding {key!r}, got {type(mapping).__name__}"
@@ -300,6 +315,11 @@ def _optional(mapping, key, kind, default):
 
 
 def _parse_node_ref(value, context: str) -> NodeId:
+    # Fast path: a plain list of two plain ints; the rest is checked below.
+    if type(value) is list and len(value) == 2:
+        domain, local = value
+        if type(domain) is int and type(local) is int:
+            return NodeId(domain, local)
     if (
         not isinstance(value, list)
         or len(value) != 2

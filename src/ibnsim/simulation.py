@@ -13,13 +13,13 @@ gives the exponential inter-arrival and holding times, which makes event
 lists reproducible bit-for-bit across platforms.
 """
 
-import bisect
 import enum
 import heapq
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .compilation import (
     CompileOutcome,
@@ -40,6 +40,10 @@ log = logging.getLogger(__name__)
 POLICY_AUTO = "auto-recompile"
 POLICY_NONE = "none"
 
+# Set-up holds every synthetic arrival at once (~0.3 kB each); see
+# docs/schema.md.
+MAX_ARRIVALS = 100_000
+
 
 class EventKind(enum.Enum):
     ARRIVAL = "arrival"
@@ -48,9 +52,11 @@ class EventKind(enum.Enum):
     LINK_UP = "link_up"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One simulation event; processed in (time, seq) order."""
+class Event(NamedTuple):
+    """One simulation event, and its own heap entry: events pop in (time,
+    seq) order.  ``seq`` is unique within a run, so a heap comparison never
+    reaches ``kind``, which has no order.  Like any tuple, an event equals
+    the tuple of its fields."""
 
     time: float
     seq: int
@@ -113,6 +119,8 @@ class TrafficConfig:
     def __post_init__(self):
         if self.arrivals < 0:
             raise InvalidConfigError("arrivals must be >= 0")
+        if self.arrivals > MAX_ARRIVALS:
+            raise InvalidConfigError(f"arrivals must be <= {MAX_ARRIVALS}")
         if self.arrival_rate <= 0:
             raise InvalidConfigError("arrival rate must be > 0")
         if self.mean_holding <= 0:
@@ -140,26 +148,23 @@ def generate_traffic(config: TrafficConfig, seed: int) -> list:
     scaling the arrival rate rescales arrival times exactly while leaving
     the rest of the stream untouched.
     """
+    pairs, rates = config.pairs, config.rates
+    pair_cum = _cumulative([w for _, _, w in pairs])
+    rate_cum = _cumulative([w for _, w in rates])
+    arrival_rate, mean_holding = config.arrival_rate, config.mean_holding
+    log1p, pick, arrival = math.log1p, _pick, EventKind.ARRIVAL
     draws = iter(random_doubles(seed, 4 * config.arrivals))
-    pair_cum = _cumulative([w for _, _, w in config.pairs])
-    rate_cum = _cumulative([w for _, w in config.rates])
 
     events = []
+    append = events.append
     now = 0.0
-    for i, (u_gap, u_pair, u_rate, u_hold) in enumerate(zip(draws, draws, draws, draws)):
-        now += -math.log1p(-u_gap) / config.arrival_rate
-        src, dst, _ = config.pairs[_pick(pair_cum, u_pair)]
-        rate = config.rates[_pick(rate_cum, u_rate)][0]
-        holding = -math.log1p(-u_hold) * config.mean_holding
-        events.append(
-            Event(
-                time=now,
-                seq=i,
-                kind=EventKind.ARRIVAL,
-                intent=ConnectivityIntent(src, dst, rate),
-                holding=holding,
-            )
-        )
+    seq = 0
+    for u_gap, u_pair, u_rate, u_hold in zip(draws, draws, draws, draws):
+        now += -log1p(-u_gap) / arrival_rate
+        src, dst, _ = pairs[pick(pair_cum, u_pair)]
+        intent = ConnectivityIntent(src, dst, rates[pick(rate_cum, u_rate)][0])
+        append(Event(now, seq, arrival, intent, -log1p(-u_hold) * mean_holding))
+        seq += 1
     return events
 
 
@@ -174,7 +179,8 @@ def _cumulative(weights):
 
 def _pick(cumulative, u: float) -> int:
     """First index whose edge exceeds u * total, else the last index."""
-    return min(bisect.bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
+    i = bisect_right(cumulative, u * cumulative[-1])
+    return i if i < len(cumulative) else i - 1
 
 
 # -- monitoring ----------------------------------------------------------------
@@ -322,11 +328,10 @@ class Simulation:
         self.metrics = Metrics()
         self.event_log = []
         self.now = 0.0
-        self._heap = []
-        self._seq = 0
-        for event in scenario.build_events():
-            heapq.heappush(self._heap, (event.time, event.seq, event))
-            self._seq = max(self._seq, event.seq + 1)
+        # build_events numbers its events 0..n-1, so the next seq is n.
+        self._heap = scenario.build_events()
+        heapq.heapify(self._heap)
+        self._seq = len(self._heap)
         # Border fibers live in two graphs; count capacity once, at the
         # lower domain id.  Cross-domain lightpaths end at the border node,
         # so only a path through a foreign stub books a border fiber.
@@ -339,15 +344,15 @@ class Simulation:
     # -- scheduling ----------------------------------------------------------
 
     def schedule(self, time: float, kind: EventKind, **fields) -> None:
-        event = Event(time=time, seq=self._seq, kind=kind, **fields)
+        heapq.heappush(self._heap, Event(time, self._seq, kind, **fields))
         self._seq += 1
-        heapq.heappush(self._heap, (event.time, event.seq, event))
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)
             self.now = event.time
             if event.kind is EventKind.ARRIVAL:
                 self._handle_arrival(event)

@@ -9,9 +9,11 @@ every start index, and the compilation oracle from enumerating all feasible
 import dataclasses
 import enum
 import heapq
+import math
 from collections import deque
 
-from ibnsim.network import link_key
+from ibnsim.errors import ScenarioParseError
+from ibnsim.network import NodeId, link_key
 
 
 def graph_adjacency(graph, exclude=()):
@@ -451,3 +453,41 @@ def mutables(value, seen=None):
             children += [getattr(value, f.name) for f in dataclasses.fields(value)]
     for child in children:
         yield from mutables(child, seen)
+
+
+def reference_require(mapping, key, kind):
+    """``scenario._require`` as it was before its fast path: every check
+    spelled out, for a differential test of the fast one."""
+    if not isinstance(mapping, dict):
+        raise ScenarioParseError(
+            f"expected an object holding {key!r}, got {type(mapping).__name__}"
+        )
+    if key not in mapping:
+        raise ScenarioParseError(f"missing required field {key!r}")
+    value = mapping[key]
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ScenarioParseError(f"field {key!r} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the largest double
+            value = math.inf
+        if not math.isfinite(value):
+            raise ScenarioParseError(f"field {key!r} must be finite")
+        return value
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ScenarioParseError(f"field {key!r} must be {kind.__name__}")
+    return value
+
+
+def reference_parse_node_ref(value, context):
+    """``scenario._parse_node_ref`` as it was before its fast path."""
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise ScenarioParseError(
+            f"{context}: node reference must be [domain, local], got {value!r}"
+        )
+    return NodeId(value[0], value[1])

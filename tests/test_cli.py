@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ibnsim import cli
 from ibnsim.cli import main
 from ibnsim.simulation import Simulation
 
@@ -227,4 +228,43 @@ def test_traffic_number_that_overflows_exits_2(tmp_path, capsys, edit, problem):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"ibnsim: {path}: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+class Parsed(Exception):
+    """Raised in place of building a simulation: the scenario parsed."""
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, cap, problem", [
+    ("grid_size", 1024, "grid_size must be <= 1024"),
+    ("k_paths", 64, "k_paths must be <= 64"),
+    ("arrivals", 100_000, "traffic: arrivals must be <= 100000"),
+])
+def test_size_caps_admit_the_cap_and_refuse_one_more(tmp_path, capsys, monkeypatch, command, field,
+                                                     cap, problem):
+    # Parse only: run hands the parsed scenario to Simulation, which raises
+    # here, so neither value allocates a grid, a path memo or an event list.
+    def parsed(scenario):
+        raise Parsed(scenario.traffic if field == "arrivals" else scenario)
+
+    monkeypatch.setattr(cli, "Simulation", parsed)
+    doc = json.loads((SCENARIOS / "reference.json").read_text())
+    holder = doc["traffic"] if field == "arrivals" else doc
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    paths = {}
+    for value in (cap, cap + 1):
+        holder[field] = value
+        paths[value] = tmp_path / f"{field}-{value}.json"
+        paths[value].write_text(json.dumps(doc))
+
+    if command == "validate":
+        assert main([command, str(paths[cap])]) == 0
+    else:
+        with pytest.raises(Parsed) as reached:
+            main([command, str(paths[cap])] + out)
+        assert getattr(reached.value.args[0], field) == cap
+    capsys.readouterr()
+    assert main([command, str(paths[cap + 1])] + out) == 2
+    assert capsys.readouterr().err == f"ibnsim: {paths[cap + 1]}: {problem}\n"
     assert not (tmp_path / "out").exists()

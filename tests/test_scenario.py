@@ -1,9 +1,12 @@
 import copy
+import enum
 import json
+import math
+from collections import OrderedDict, defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibnsim.compilation import BlockReason
@@ -12,10 +15,10 @@ from ibnsim.export import export_topology
 from ibnsim.intents import ConnectivityIntent, IntentNode, RemoteIntent
 from ibnsim.multidomain import Delegate
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
-from ibnsim.scenario import parse_scenario, render_scenario
+from ibnsim.scenario import _parse_node_ref, _require, parse_scenario, render_scenario
 from ibnsim.simulation import Simulation
 
-from .oracles import mutables
+from .oracles import mutables, reference_parse_node_ref, reference_require
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -401,3 +404,76 @@ def test_validated_link_events_never_stop_the_run(steps):
     except ScenarioValidationError:
         return
     Simulation(scenario).run()
+
+
+# -- parser fast paths against the reference helpers --------------------------------
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+SPECIALS = [True, False, Level.ONE, 10**400, -(10**400), math.inf, -math.inf, math.nan, -0.0]
+ATOMS = st.one_of(
+    st.sampled_from(SPECIALS),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.text(max_size=3),
+    st.none(),
+)
+VALUES = st.one_of(ATOMS, st.lists(ATOMS, max_size=3))
+KEYS = st.sampled_from(["a", "b"])
+
+
+@st.composite
+def mappings(draw):
+    """A dict, OrderedDict or defaultdict holding some of KEYS, or a value
+    that is no mapping at all."""
+    items = draw(st.dictionaries(KEYS, VALUES, max_size=2))
+    shape = draw(st.sampled_from(["dict", "ordered", "default", "not-a-mapping"]))
+    if shape == "dict":
+        return dict(items)
+    if shape == "ordered":
+        return OrderedDict(items)
+    if shape == "default":
+        return defaultdict(list, items)
+    return draw(VALUES)
+
+
+def outcome(fn, *args):
+    """What a call gives back, by type and repr, or what it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception is the outcome
+        return "raises", type(exc), str(exc)
+    return "returns", type(value), repr(value)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mappings(), KEYS, st.sampled_from([int, float, str, list]))
+@example(defaultdict(list), "a", list)
+@example(OrderedDict(a=1.5), "a", float)
+@example({"a": True}, "a", int)
+@example({"a": Level.ONE}, "a", int)
+@example({"a": 10**400}, "a", float)
+@example({"a": math.inf}, "a", float)
+@example({"a": math.nan}, "a", float)
+@example({"a": -0.0}, "a", float)
+@example({"a": 3}, "a", float)
+@example({"b": 3}, "a", int)
+def test_require_answers_like_the_reference(mapping, key, kind):
+    keys = list(mapping) if isinstance(mapping, dict) else None
+    assert outcome(_require, mapping, key, kind) == outcome(reference_require, mapping, key, kind)
+    # A missing key stays missing: a defaultdict is asked, not indexed.
+    assert (list(mapping) if isinstance(mapping, dict) else None) == keys
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(VALUES, st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(SPECIALS)),
+                                  min_size=2, max_size=2)))
+@example([1, True])
+@example([Level.ONE, 2])
+@example((1, 2))
+@example([1, 2, 3])
+def test_parse_node_ref_answers_like_the_reference(value):
+    assert outcome(_parse_node_ref, value, "ctx") == outcome(reference_parse_node_ref, value, "ctx")

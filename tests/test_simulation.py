@@ -11,6 +11,7 @@ from ibnsim.network import NodeId
 from ibnsim.scenario import parse_scenario
 from ibnsim.simulation import (
     POLICY_NONE,
+    Event,
     EventKind,
     Simulation,
     TrafficConfig,
@@ -23,7 +24,7 @@ from ibnsim.simulation import (
 )
 
 from .builders import chain, make_domain, reserve, snapshot
-from .oracles import audit_resources
+from .oracles import audit_resources, mutables
 
 N = NodeId
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -284,6 +285,55 @@ class TestRun:
 
 def dag_nodes(sim):
     return {did: set(ctrl.dag.nodes) for did, ctrl in sim.domains.items()}
+
+
+# -- event order -----------------------------------------------------------------
+
+
+def arrival(time, holding=5.0):
+    return {"time": time, "kind": "arrival", "src": [1, 1], "dst": [1, 3],
+            "rate": 100, "holding": holding}
+
+
+def link(time, kind):
+    return {"time": time, "kind": kind, "a": [1, 2], "b": [1, 3]}
+
+
+def popped(doc):
+    """(time, seq, kind) of every event, in the order the engine ran them."""
+    order = []
+    Simulation(parse_scenario(doc),
+               on_event=lambda sim, e: order.append((e.time, e.seq, e.kind.value))).run()
+    return order
+
+
+class TestEventOrder:
+    LINKS = [(1, 2, 100.0), (2, 3, 100.0), (1, 3, 250.0)]
+
+    def test_simultaneous_explicit_events_pop_in_file_order(self):
+        events = [arrival(1.0), link(1.0, "link_down"), arrival(1.0),
+                  link(1.0, "link_up"), arrival(1.0)]
+        order = popped(domain_doc([1, 2, 3], self.LINKS, events=events))
+        assert order[:5] == [(1.0, 0, "arrival"), (1.0, 1, "link_down"), (1.0, 2, "arrival"),
+                             (1.0, 3, "link_up"), (1.0, 4, "arrival")]
+        assert [kind for _, _, kind in order[5:]] == ["departure"] * 3
+
+    def test_departure_due_with_a_pending_arrival_pops_after_it(self):
+        # The departure of the first intent is scheduled at 2.0, after both
+        # explicit events were numbered, so its seq is the larger one.
+        events = [arrival(0.0, holding=2.0), arrival(2.0, holding=1.0)]
+        order = popped(domain_doc([1, 2, 3], self.LINKS, events=events))
+        assert order == [(0.0, 0, "arrival"), (2.0, 1, "arrival"),
+                         (2.0, 2, "departure"), (3.0, 3, "departure")]
+
+    def test_events_are_immutable_tuples(self):
+        ends = (N(1, 2), N(1, 3))
+        down = Event(1.0, 0, EventKind.LINK_DOWN, link=ends)
+        assert down == (1.0, 0, EventKind.LINK_DOWN, None, None, None, ends)
+        with pytest.raises(AttributeError):
+            down.time = 2.0
+        arrives = Event(2.0, 1, EventKind.ARRIVAL, ConnectivityIntent(N(1, 1), N(1, 3), 100), 5.0)
+        assert list(mutables(down)) == [] and list(mutables(arrives)) == []
 
 
 # -- monitoring ------------------------------------------------------------------
