@@ -163,7 +163,8 @@ def compile_probe(domain, src, dst, rate, excluded_links=(), as_free=()) -> bool
 
 def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
     """First feasible (path, mode, slot block) from src to dst, else the
-    first BlockReason met.
+    first BlockReason met.  Paths are pulled one at a time, so routing
+    stops at the first one that fits.
 
     Ports, add/drop terminations and slots held by the intents in
     ``as_free`` count as free; the install re-checks every resource.
@@ -177,11 +178,8 @@ def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
                 or ends >= oxc.add_drop_capacity):
             return BlockReason.NO_PORT
 
-    paths = graph.k_shortest_paths(
-        src, dst, domain.config.k_paths, exclude_links=excluded_links
-    )
     reason = None
-    for path in paths:
+    for path in graph.routes(src, dst, domain.config.k_paths, excluded_links):
         mode = select_mode(domain.config.mode_table, rate, graph.path_length(path))
         if mode is None:
             reason = reason or BlockReason.NO_MODE

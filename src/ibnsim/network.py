@@ -140,10 +140,11 @@ class NetworkGraph:
     _bits: dict = field(default_factory=dict, repr=False)  # LinkKey -> bit
     _down: int = field(default=0, repr=False)
     _index: Optional[tuple] = field(default=None, repr=False)
-    # (src, dst, k, excluded bits) -> (paths, used, down) and dst position ->
-    # (A* heuristic, down): answers tagged with the down-set they were
-    # computed under and, for routes, the bits of every link a search
-    # returned.  Link flips keep both (see ``k_shortest_paths`` and
+    # (src, dst, k, excluded bits) -> (paths, used, down, whole) and dst
+    # position -> (A* heuristic, down): answers tagged with the down-set they
+    # were computed under and, for routes, the bits of every link a search
+    # returned and whether the paths are the whole answer or its certified
+    # first path.  Link flips keep both (see ``routes`` and
     # ``_distances`` for when an entry still holds); add_node and
     # add_fiber_link clear them.
     _routes: dict = field(default_factory=dict, repr=False)
@@ -319,31 +320,55 @@ class NetworkGraph:
         Returns an empty list when src and dst are disconnected.  Answers
         are memoized; each call gets fresh lists.
         """
+        return list(self.routes(src, dst, k, exclude_links))
+
+    def routes(self, src: NodeId, dst: NodeId, k: int, exclude_links=()):
+        """Yield the paths ``k_shortest_paths`` returns, in its order, each
+        computed only when it is asked for.
+
+        The first path often comes before any spur search has run (see the
+        certificate in ``_yen``), so a caller that stops at it skips the
+        rest of Yen.  Bad arguments raise as in ``k_shortest_paths``, at the
+        first ``next``.  The graph must not change while the iteration is
+        open.
+
+        Memo entries hold the whole answer or, when the caller stopped at a
+        certified first path, that path alone.  Every search returns the
+        least path among those it may use, so taking down links that no
+        returned path used changes no answer, and a search that never ran
+        had a bound above the last accepted key (for a first-only entry: the
+        certificate still holds on the smaller graph).  An entry therefore
+        holds while no link down at its computation came back up and no
+        link it used went down.  A call that needs more than a first-only
+        entry runs Yen afresh.
+        """
         if src == dst:
             raise ValueError("k_shortest_paths requires src != dst")
         for node in (src, dst):
             if node not in self.routers:
                 raise UnknownNodeError(f"node {node} not in graph")
         if k < 1:
-            return []
-
+            return
         excluded = 0
         for key in exclude_links:
             excluded |= self._bits.get(key, 0)
         memo_key = (src, dst, k, excluded)
         memo = self._routes.get(memo_key)
         down = self._down
-        # Every search returns the least path among those it may use, so
-        # taking down links that no returned path used changes no answer,
-        # and a search that never ran had a bound above the last accepted
-        # key.  An answer therefore holds while no link down at its
-        # computation came back up and no link it used went down.
-        if memo is None or memo[2] & ~down or memo[1] & down:
-            nodes, pos, _, _ = self._graph_index()
-            paths, used = self._yen(pos[src], pos[dst], k, excluded)
-            paths = tuple(tuple(nodes[p] for p in path) for path in paths)
-            memo = self._routes[memo_key] = (paths, used, down)
-        return [list(path) for path in memo[0]]
+        sent = 0
+        if memo is not None and not (memo[2] & ~down or memo[1] & down):
+            for path in memo[0]:
+                yield list(path)
+            if memo[3]:
+                return
+            sent = len(memo[0])
+        nodes, pos, _, _ = self._graph_index()
+        for prefix, used, whole in self._yen(pos[src], pos[dst], k, excluded):
+            paths = tuple(tuple(nodes[p] for p in path) for path in prefix)
+            self._routes[memo_key] = (paths, used, down, whole)
+            for path in paths[sent:]:
+                yield list(path)
+            sent = len(paths)
 
     def _graph_index(self):
         """(nodes in NodeId order, NodeId -> position, adjacency, hops).
@@ -367,7 +392,10 @@ class NetworkGraph:
 
     def _yen(self, src, dst, k, excluded):
         """Yen's k shortest loop-free paths between positions avoiding the
-        ``excluded`` link bits: (paths, bits of every link a search returned).
+        ``excluded`` link bits, as a generator of (answer prefix, bits of
+        every link a search returned so far, whether the prefix is whole).
+        The last item is the whole answer; before it may come the first
+        path alone, certified before any spur search runs.
 
         Spur searches are deferred (after Kurz and Mutzel, ISAAC 2016): the
         search from spur i of accepted path m enters the candidate heap
@@ -377,13 +405,25 @@ class NetworkGraph:
         a path keeps the key of the earliest search (m, i) that returns it.
         That is the order, keys and dedup of running every search at once,
         so the answer is the same, root + spur tie quirk included.
+
+        The answer is ``accepted`` sorted by (left-to-right km, path), and
+        its first path need not be A, the first accepted (the A* answer):
+        an equal km with a smaller node sequence, or a key that rounds
+        below A's km, can sort first.  Once A's spur entries are pushed, A
+        can be certified first for any k.  Every other simple path leaves A
+        at some spur i, and the bound of A's spur i is below the
+        left-to-right km of every path leaving A there (the 2**-30 argument
+        below).  A's km from A* is its own left-to-right km.  So if A's km
+        is below the least of those bounds, nothing sorts before A.  With
+        k = 1 or no spur entry, the whole answer comes at once anyway.
         """
         _, _, adjacency, hops = self._graph_index()
         h = self._distances(dst)
         banned = excluded | self._down
         first = self._shortest_path(src, dst, banned, 0, h)
         if first is None:
-            return [], 0
+            yield (), 0, True
+            return
         used = self._path_bits(first[1])
         accepted = [first]
         done = {first[1]}
@@ -423,6 +463,8 @@ class NetworkGraph:
                 # before any path it could return, or give an earlier key.
                 bound = (root_len + low) * (1 - 2**-30)
                 heapq.heappush(heap, (bound, 0, m, i, root, root_len, spur_banned, blocked))
+            if not m and heap and first[0] < heap[0][0]:
+                yield (first[1],), used, False
 
             while heap:
                 entry = heapq.heappop(heap)
@@ -452,7 +494,7 @@ class NetworkGraph:
                 break
 
         accepted.sort()
-        return [path for _, path in accepted], used
+        yield tuple(path for _, path in accepted), used, True
 
     def _path_bits(self, path) -> int:
         hops = self._index[3]

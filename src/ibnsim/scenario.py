@@ -356,6 +356,8 @@ def _parse_domains(raw) -> tuple:
     seen_ids = set()
     for dentry in raw:
         did = _require(dentry, "id", int)
+        if did < 0:  # run names files and state.json keys after it
+            raise ScenarioValidationError(f"domain id must be >= 0, got {did}")
         if did in seen_ids:
             raise ScenarioValidationError(f"duplicate domain id {did}")
         seen_ids.add(did)

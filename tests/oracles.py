@@ -381,6 +381,35 @@ def oracle_compile(graph, mode_table, src, dst, rate, k, exclude=(), treat_free=
     return best
 
 
+def reference_plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
+    """``compilation._plan`` as it ran over the eager ``k_shortest_paths``
+    list: the first feasible (path, mode, slot block), else the first
+    BlockReason met, NO_MODE and NO_SPECTRUM in path order, then NO_PATH."""
+    from ibnsim.compilation import BlockReason, first_fit_spectrum, select_mode
+
+    graph = domain.graph
+    for node in (src, dst):
+        router, oxc = graph.routers[node], graph.oxcs[node]
+        ports = router.ports_used - len(as_free & router.port_holders.keys())
+        ends = oxc.add_drop_used - len(as_free & oxc.add_drop_holders)
+        if (ports >= router.port_count or rate > router.port_rate
+                or ends >= oxc.add_drop_capacity):
+            return BlockReason.NO_PORT
+    paths = graph.k_shortest_paths(src, dst, domain.config.k_paths, exclude_links=excluded_links)
+    reason = None
+    for path in paths:
+        mode = select_mode(domain.config.mode_table, rate, graph.path_length(path))
+        if mode is None:
+            reason = reason or BlockReason.NO_MODE
+            continue
+        block = first_fit_spectrum(graph, path, mode.slots_needed, as_free)
+        if block is None:
+            reason = reason or BlockReason.NO_SPECTRUM
+            continue
+        return path, mode, block
+    return reason or BlockReason.NO_PATH
+
+
 def brute_aggregate(parent_of, stored, iid):
     """Effective state of ``iid`` from a plain parent map, leaf by leaf.
 

@@ -1,11 +1,20 @@
+import contextlib
+import functools
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibnsim import cli
 from ibnsim.cli import main
 from ibnsim.simulation import Simulation
+
+from .test_scenario import two_domain_doc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -231,6 +240,21 @@ def test_traffic_number_that_overflows_exits_2(tmp_path, capsys, edit, problem):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_domain_id_exits_2(tmp_path, capsys, command):
+    # A run names dag_<id>.dot and its state.json keys after the domain id,
+    # and export-dag reads back only ids >= 0: a domain -1 used to run and
+    # leave a state.json that export-dag and export-topology refused.
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["domains"][0]["id"] = -1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + out) == 2
+    assert capsys.readouterr().err == f"ibnsim: {path}: domain id must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 class Parsed(Exception):
     """Raised in place of building a simulation: the scenario parsed."""
 
@@ -268,3 +292,91 @@ def test_size_caps_admit_the_cap_and_refuse_one_more(tmp_path, capsys, monkeypat
     assert main([command, str(paths[cap + 1])] + out) == 2
     assert capsys.readouterr().err == f"ibnsim: {paths[cap + 1]}: {problem}\n"
     assert not (tmp_path / "out").exists()
+
+
+# -- fuzzing the boundary with raw text -----------------------------------------------
+
+
+SCENARIO_TEXTS = [
+    (SCENARIOS / "single_link.json").read_text(),
+    (SCENARIOS / "triangle.json").read_text(),
+    json.dumps(two_domain_doc()),
+]
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+MEMBER = re.compile(r'"\w+":\s*(?:-?[\d.eE+]+|true|false|null|"[^"]*")')
+ODD_NUMBERS = [
+    LONG_INT, "-" + LONG_INT, "123456789012345678901234567890", "1e400", "-1e400",
+    "1e-400", "1E+999999999999", "0.1e99999", "NaN", "Infinity", "-Infinity",
+    "0", "-0", "-1", "0.5", "3", "1e2", "true", "null", '"7"', "[]", "{}",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def state_text() -> str:
+    """state.json of a run of triangle.json: one compiled intent, a failure."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(SCENARIOS / "triangle.json"), "--out", out]) == 0
+        return (Path(out) / "state.json").read_text()
+
+
+@st.composite
+def fuzzed_text(draw, base):
+    """``base`` with some numbers swapped for odd tokens, a member repeated
+    with another value, and maybe a byte order mark in front."""
+    text = base
+    spans = [m.span() for m in NUMBER.finditer(text)]
+    for start, end in sorted(draw(st.lists(st.sampled_from(spans), unique=True, max_size=3)),
+                             reverse=True):
+        text = text[:start] + draw(st.sampled_from(ODD_NUMBERS)) + text[end:]
+    members = list(MEMBER.finditer(text))
+    if members and draw(st.booleans()):
+        member = draw(st.sampled_from(members))
+        key = member.group().split(":", 1)[0]
+        twin = f"{key}: {draw(st.sampled_from(ODD_NUMBERS))}"
+        if draw(st.booleans()):
+            text = text[:member.start()] + twin + ", " + text[member.start():]
+        else:
+            text = text[:member.end()] + ", " + twin + text[member.end():]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "export-dag", "export-topology"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_text_exits_cleanly(command, data):
+    # Whatever the text, main returns 0, 2 or 3 with one "ibnsim: " line on
+    # stderr for a refusal, and an accepted run conserves its intents, ends
+    # with every resource released and leaves a state.json the exports read.
+    if command in ("validate", "run"):
+        base = data.draw(st.sampled_from(SCENARIO_TEXTS), label="scenario")
+    else:
+        base = state_text()
+    text = data.draw(fuzzed_text(base), label="text")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "input.json", Path(tmp) / "out"
+        path.write_text(text, encoding="utf-8")
+        args = [command, str(path)] + ([] if command == "validate" else ["--out", str(out)])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 2, 3)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("ibnsim: ")
+        elif command == "run":
+            lines = (out / "metrics.csv").read_text().splitlines()
+            per_intent = lines.index("intent_id,outcome,compile_time,install_time")
+            metrics = {name: float(value) for name, value in
+                       (line.split(",") for line in lines[1:per_intent])}
+            assert metrics["offered"] == metrics["blocked"] + metrics["installed_ok"]
+            assert metrics["offered"] == len(lines) - per_intent - 1
+            for domain in json.loads((out / "state.json").read_text())["topology"]["domains"]:
+                assert all(not link["slots"] for link in domain["fiber_links"])
+                assert all(not node["ports_used"] and not node["add_drop_used"]
+                           for node in domain["nodes"])
+            for export in ("export-dag", "export-topology"):  # a run's state reads back
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([export, str(out / "state.json"), "--out", str(out / "re")]) == 0

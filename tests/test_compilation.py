@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from ibnsim.compilation import (
     BlockReason,
+    _plan,
     CompileOutcome,
     InstallOutcome,
     compile_connectivity,
@@ -24,7 +25,13 @@ from ibnsim.intents import ConnectivityIntent, IntentId, IntentState, LightpathI
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId, TransmissionMode, link_key
 
 from .builders import chain, make_domain, reserve, snapshot
-from .oracles import brute_first_fit, holder_mask_problems, oracle_compile, slot_grid
+from .oracles import (
+    brute_first_fit,
+    holder_mask_problems,
+    oracle_compile,
+    reference_plan,
+    slot_grid,
+)
 
 
 class TestSelectMode:
@@ -102,6 +109,57 @@ def test_first_fit_matches_brute_force(data):
     assert first_fit_spectrum(graph, path, width, as_free) == brute_first_fit(
         graph, path, width, treat_free=as_free
     )
+
+
+# Short ties, and fibers long enough that 400G (600 km) or every mode fails.
+PLAN_KM = (0.1, 0.3, 60.0, 84.3, 700.0, 2000.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_answers_like_the_eager_reference_plan(data):
+    # ``_plan`` pulls paths lazily; the reference takes the whole list
+    # first.  Same (path, mode, block), or the same first BlockReason, over
+    # random bookings, rates, as_free sets, exclusions and link flips.
+    n = data.draw(st.integers(min_value=3, max_value=6), label="nodes")
+    ctrl = make_domain(nodes=n, ports=2, k_paths=data.draw(st.integers(1, 4), label="k"))
+    graph = ctrl.graph
+    nodes = [NodeId(1, i) for i in range(1, n + 1)]
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if data.draw(st.integers(0, 3), label="fiber?"):
+                graph.add_fiber_link(a, b, data.draw(st.sampled_from(PLAN_KM), label="km"))
+    keys = list(graph.fiber_links)
+    if not keys:
+        return
+    holders = st.sampled_from("abc")
+    slots = st.integers(min_value=1, max_value=graph.slot_count)
+    for _ in range(data.draw(st.integers(0, 12), label="bookings")):
+        link = graph.fiber_links[data.draw(st.sampled_from(keys), label="booked fiber")]
+        start, end = sorted(data.draw(st.tuples(slots, slots), label="slots"))
+        try:
+            graph.reserve_spectrum(link, start, end, data.draw(holders, label="holder"))
+        except BookingConflictError:
+            pass
+    for _ in range(data.draw(st.integers(0, 3), label="ports")):
+        try:
+            graph.reserve_port(data.draw(st.sampled_from(nodes), label="port node"),
+                               data.draw(holders, label="port holder"), 100)
+        except BookingConflictError:
+            pass
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        for key in data.draw(st.lists(st.sampled_from(keys), max_size=2), label="flips"):
+            graph.set_link_operational(*key, not graph.fiber_links[key].operational)
+        src, dst = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2,
+                                      unique=True), label="ends")
+        rate = data.draw(st.sampled_from([100, 200, 300, 400]), label="rate")
+        excluded = data.draw(st.lists(st.sampled_from(keys), max_size=2), label="excluded")
+        as_free = frozenset(data.draw(st.sets(holders), label="as_free"))
+        args = (ctrl, src, dst, rate, excluded, as_free)
+        if data.draw(st.booleans(), label="lazy first"):
+            assert _plan(*args) == reference_plan(*args)
+        else:
+            assert reference_plan(*args) == _plan(*args)
 
 
 class TestCompileConnectivity:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -531,3 +533,83 @@ def test_ksp_prefix_property_on_a_near_tie():
     ])
     shorter = g.k_shortest_paths(n[1], n[4], 4)
     assert g.k_shortest_paths(n[1], n[4], 5)[:4] == shorter
+
+
+# -- lazy routes: the first path before any spur search -------------------------
+
+
+ROUTE_TIES = (0.1, 0.2, 0.3, 0.7, 60.0, 84.3)
+
+
+@st.composite
+def tie_set_graphs(draw):
+    """Small graphs whose fiber km come from ``ROUTE_TIES``, with a few
+    fibers down."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    g = make_graph()
+    nodes = [add_node(g, i + 1) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 3)):  # 3 in 4 pairs get a fiber
+                g.add_fiber_link(nodes[i], nodes[j], draw(st.sampled_from(ROUTE_TIES)))
+    keys = list(g.fiber_links)
+    if keys:
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+            g.set_link_operational(*key, False)
+    return g, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_set_graphs(), st.data())
+def test_lazy_routes_answer_like_eager_yen(graph, data):
+    # Each query first pulls a prefix of ``routes`` (often the first path
+    # alone, which leaves a first-only memo entry), then maybe asks in full.
+    # Fibers flip between rounds, so first-only entries are read again
+    # under other down sets before a full call extends them.
+    g, nodes = graph
+    keys = list(g.fiber_links)
+    query = st.tuples(
+        st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.sampled_from(keys), unique=True, max_size=2) if keys else st.just([]),
+    )
+    queries = data.draw(st.lists(query, min_size=1, max_size=3), label="queries")
+    flips = data.draw(st.lists(st.sampled_from(keys), max_size=4), label="flips") if keys else []
+    for step in range(len(flips) + 1):
+        if step:
+            link = g.fiber_links[flips[step - 1]]
+            g.set_link_operational(*link.endpoints, not link.operational)
+        for (src, dst), k, exclude in queries:
+            eager = eager_yen(g, src, dst, k, exclude)
+            take = data.draw(st.integers(min_value=1, max_value=k + 1), label="take")
+            assert list(islice(g.routes(src, dst, k, exclude), take)) == eager[:take]
+            if data.draw(st.booleans(), label="then in full"):
+                assert g.k_shortest_paths(src, dst, k, exclude) == eager
+                assert list(g.routes(src, dst, k, exclude)) == eager
+
+
+def test_first_path_is_certified_before_any_spur_search():
+    # A*'s path 1-2-3 (2 km) is below its spur bounds, the least being
+    # 1-3's 3 km shrunk by 2**-30: Yen yields it alone, before any spur
+    # search, and resumes to the whole answer when asked for more.
+    g, a, b, c = triangle()
+    src, dst = position(g, a), position(g, c)
+    search = g._yen(src, dst, 2, 0)
+    assert next(search)[::2] == (((0, 1, 2),), False)
+    assert next(search)[::2] == (((0, 1, 2), (0, 2)), True)
+    assert next(g.routes(a, c, 2)) == [a, b, c]
+    assert g.k_shortest_paths(a, c, 2) == [[a, b, c], [a, c]]
+
+
+def test_tied_first_path_refuses_the_certificate():
+    # A* finds 1-3-4 (0.3 + 0.2 = 0.5 km), but 1-2-3-4 (0.1 + 0.2 + 0.2) is
+    # 0.5 km too and sorts first on the node sequence.  A's km is not below
+    # the bound of its spur 1.1, so the first item is the whole answer.
+    g, n = graph_with_fibers([(1, 2, 0.1), (1, 3, 0.3), (1, 4, 84.3), (2, 3, 0.2), (3, 4, 0.2)])
+    src, dst = position(g, n[1]), position(g, n[4])
+    assert g._shortest_path(src, dst, 0, 0, g._distances(dst)) == (0.5, (0, 2, 3))
+    assert next(g._yen(src, dst, 2, 0))[2] is True
+    eager = [[n[1], n[2], n[3], n[4]], [n[1], n[3], n[4]]]
+    assert eager_yen(g, n[1], n[4], 2) == eager
+    assert next(g.routes(n[1], n[4], 2)) == eager[0]
+    assert list(g.routes(n[1], n[4], 2)) == g.k_shortest_paths(n[1], n[4], 2) == eager
