@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import IbnError, ScenarioError
 from .export import dot_from_document, write_run_artifacts
-from .scenario import parse_scenario
+from .scenario import MAX_DOMAIN_ID, parse_scenario
 from .simulation import Simulation
 
 EXIT_OK = 0
@@ -148,6 +148,8 @@ def _state_problem(state) -> Optional[str]:
     for did, doc in dags.items():
         if not (did.isascii() and did.isdigit()):
             return f"dags key {did!r} is not a domain id"
+        if int(did.lstrip("0")[:11] or 0) > MAX_DOMAIN_ID:  # 11 digits exceed it
+            return f"dags key {did!r} is past the largest domain id, {MAX_DOMAIN_ID}"
         if not isinstance(doc, dict):
             return f"dags.{did} must be an object"
         nodes, edges = doc.get("nodes"), doc.get("edges")

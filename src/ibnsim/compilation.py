@@ -109,11 +109,10 @@ def first_fit_spectrum(
 def compile_connectivity(domain, iid) -> CompilationResult:
     """Derive an implementation for an uncompiled connectivity intent.
 
-    Any other state, FAILED included, raises WrongStateError: recovery drops
-    a failed piece's children before recompiling it.  A node's owner is its
-    ``NodeId.domain``: local destinations are served by the intra-domain
-    pipeline below; destinations owned by another domain are delegated by
-    ``multidomain.compile_crossdomain``.
+    Any other state, FAILED included, raises WrongStateError.  A node's
+    owner is its ``NodeId.domain``: local destinations are served by the
+    intra-domain pipeline below; destinations owned by another domain are
+    delegated by ``multidomain.compile_crossdomain``.
     """
     dag = domain.dag
     payload = dag.payload(iid)
@@ -131,16 +130,17 @@ def compile_connectivity(domain, iid) -> CompilationResult:
         return multidomain.compile_crossdomain(domain, iid)
     if not domain.graph.has_node(payload.dst):
         return blocked(BlockReason.NO_PATH)
-    return _compile_intra(domain, iid, payload)
-
-
-def _compile_intra(domain, iid, payload: ConnectivityIntent) -> CompilationResult:
     plan = _plan(domain, payload.src, payload.dst, payload.rate,
                  payload.excluded_links())
     if isinstance(plan, BlockReason):
         return blocked(plan)
+    return implement(dag, iid, payload, plan)
+
+
+def implement(dag, iid, payload: ConnectivityIntent, plan) -> CompilationResult:
+    """Give ``iid`` the children of ``plan``, a (path, mode, slot block):
+    a router port at each end and the lightpath, all compiled."""
     path, mode, block = plan
-    dag = domain.dag
     children = (
         dag.add_child(iid, RouterPortIntent(payload.src, payload.rate)),
         dag.add_child(iid, RouterPortIntent(payload.dst, payload.rate)),
@@ -151,14 +151,15 @@ def _compile_intra(domain, iid, payload: ConnectivityIntent) -> CompilationResul
     return CompilationResult(CompileOutcome.COMPILED, children)
 
 
-def compile_probe(domain, src, dst, rate, excluded_links=(), as_free=()) -> bool:
-    """Dry-run feasibility of an intra-domain compilation.
+def compile_probe(domain, src, dst, rate, excluded_links=(), as_free=()) -> Optional[tuple]:
+    """Dry run of an intra-domain compilation: the (path, mode, slot block)
+    it would pick, or None.
 
     ``as_free`` names intent ids whose current holdings count as available,
     so a failed intent's own reservations do not block its recompilation.
     """
     plan = _plan(domain, src, dst, rate, excluded_links, set(as_free))
-    return not isinstance(plan, BlockReason)
+    return None if isinstance(plan, BlockReason) else plan
 
 
 def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):

@@ -26,6 +26,7 @@ RECOVERY_POLICIES = (POLICY_AUTO, POLICY_NONE)
 # why each is where it is).
 MAX_GRID_SIZE = 1024
 MAX_K_PATHS = 64
+MAX_DOMAIN_ID = 2**31 - 1  # not a size: dag_<id>.dot must be a valid file name
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 
@@ -358,6 +359,8 @@ def _parse_domains(raw) -> tuple:
         did = _require(dentry, "id", int)
         if did < 0:  # run names files and state.json keys after it
             raise ScenarioValidationError(f"domain id must be >= 0, got {did}")
+        if did > MAX_DOMAIN_ID:
+            raise ScenarioValidationError(f"domain id must be <= {MAX_DOMAIN_ID}")
         if did in seen_ids:
             raise ScenarioValidationError(f"duplicate domain id {did}")
         seen_ids.add(did)

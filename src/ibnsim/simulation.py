@@ -26,10 +26,11 @@ from .compilation import (
     InstallOutcome,
     compile_connectivity,
     compile_probe,
+    implement,
     install_intent,
     uninstall_intent,
 )
-from .errors import ConservationError, InvalidConfigError, LinkStateError, UnknownLinkError
+from .errors import ConservationError, InvalidConfigError, UnknownLinkError
 from .intents import HOLDING_STATES, ConnectivityIntent, IntentId, IntentState, RemoteIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
@@ -196,14 +197,8 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
     affected intent onto surviving resources.  Returns the number of recovered
     intents.
     """
-    _set_link_state(domains, a, b, up=False)
-
     affected = []
-    for did in sorted(domains):
-        ctrl = domains[did]
-        link = ctrl.graph.link_between(a, b)
-        if link is None:
-            continue
+    for ctrl, link in _set_link_state(domains, a, b, up=False):
         failed = []
         # Ids are never reused, so sorted ids follow DAG insertion order.
         for iid in sorted(link.holders):
@@ -242,19 +237,16 @@ def monitor_repair(domains: dict, a: NodeId, b: NodeId,
     return recovered
 
 
-def _set_link_state(domains, a, b, up: bool) -> None:
-    holders = [d for d in sorted(domains) if domains[d].graph.link_between(a, b)]
-    if not holders:
+def _set_link_state(domains, a, b, up: bool) -> list:
+    """Set fiber a-b up or down in every graph that holds it; returns the
+    (controller, fiber) pairs in domain id order.  As the only writer of
+    link state, it keeps the copies equal, so a LinkStateError from the
+    first graph leaves all of them unchanged."""
+    pairs = [(domains[d], domains[d].graph.set_link_operational(a, b, up))
+             for d in sorted(domains) if domains[d].graph.link_between(a, b)]
+    if not pairs:
         raise UnknownLinkError(f"no domain knows a fiber {a}-{b}")
-    changeable = [
-        d for d in holders
-        if domains[d].graph.link_between(a, b).operational != up
-    ]
-    if not changeable:
-        state = "up" if up else "down"
-        raise LinkStateError(f"fiber {a}-{b} already {state}")
-    for d in changeable:
-        domains[d].graph.set_link_operational(a, b, up)
+    return pairs
 
 
 def _attempt_recovery(ctrl: DomainController, root) -> int:
@@ -263,10 +255,12 @@ def _attempt_recovery(ctrl: DomainController, root) -> int:
 
     The local piece is the root itself or, when the root has delegated
     parts, its one child that is not a mirror; remote failures are
-    recovered by the domain that owns them.  A feasibility probe runs
-    first, counting the piece's own leaves as free.  Only a feasible piece
-    is released, stripped of its children, recompiled and reinstalled, so
-    an infeasible one keeps its reservations and stays failed.
+    recovered by the domain that owns them.  The piece is probed once,
+    counting its own leaves as free, so an infeasible one keeps its
+    reservations and stays failed.  A feasible one is released, stripped of
+    its children, rebuilt from the probe's plan and reinstalled.  Compiling
+    it again would find the same plan: the probe counted as free exactly
+    what the release frees, and routing reads only link state.
     """
     dag = ctrl.dag
     # Precondition: both callers hand in roots of failed leaves only.
@@ -279,21 +273,15 @@ def _attempt_recovery(ctrl: DomainController, root) -> int:
         if dag.aggregate_state(piece) is not IntentState.FAILED:
             return 0
     payload = dag.payload(piece)
-    feasible = compile_probe(
-        ctrl,
-        payload.src,
-        payload.dst,
-        payload.rate,
-        excluded_links=payload.excluded_links(),
-        as_free=dag.leaves_under(piece),
-    )
-    if not feasible:
+    plan = compile_probe(ctrl, payload.src, payload.dst, payload.rate,
+                         payload.excluded_links(), dag.leaves_under(piece))
+    if plan is None:
         return 0
 
     uninstall_intent(ctrl, piece)
     for child in dag.children(piece):
         dag.remove_intent(child)
-    compile_connectivity(ctrl, piece)
+    implement(dag, piece, payload, plan)
     ctrl.flush_notifications(piece)
     install_intent(ctrl, piece)
     ctrl.flush_notifications(piece)

@@ -310,6 +310,26 @@ def audit_resources(domains):
     return problems
 
 
+def link_state_problems(domains):
+    """Fibers whose state is not the same everywhere it is kept: a graph
+    whose ``operational`` flag and routing down bit disagree, and a fiber
+    key held by several graphs (a border fiber) whose copies differ."""
+    problems = []
+    seen = {}  # fiber key -> (first domain holding it, its up state)
+    for did in sorted(domains):
+        graph = domains[did].graph
+        for key, link in graph.fiber_links.items():
+            up = not graph._down & graph._bits[key]
+            if link.operational != up:
+                problems.append(f"domain {did}: {key} operational={link.operational}, "
+                                f"down bit {'clear' if up else 'set'}")
+            first, first_up = seen.setdefault(key, (did, up))
+            if first_up != up:
+                problems.append(f"{key} is {'up' if first_up else 'down'} in domain "
+                                f"{first}, {'up' if up else 'down'} in domain {did}")
+    return problems
+
+
 def failed_index_mismatches(ctrl):
     """Disagreements between ``IntentDAG.failed`` and the stored states:
     an indexed id that is not a failed intent, a failed leaf left out, and

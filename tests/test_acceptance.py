@@ -175,7 +175,7 @@ def test_compile_probe_agrees_with_compile_and_oracle():
     verdicts_changed_by_freeing = 0
     for case in range(250):
         ctrl, src, dst, rate = random_rsa_case(rng)
-        probed = compile_probe(ctrl, src, dst, rate, as_free=())
+        probed = compile_probe(ctrl, src, dst, rate, as_free=()) is not None
         iid = ctrl.add_intent(ConnectivityIntent(src, dst, rate))
         compiled = compile_connectivity(ctrl, iid).outcome is CompileOutcome.COMPILED
         if probed != compiled:
@@ -192,7 +192,8 @@ def test_compile_probe_agrees_with_compile_and_oracle():
                 ctrl.config.k_paths, treat_free=as_free,
             ) is not None
             verdicts.append(expected)
-            if compile_probe(ctrl, src, dst, probe_rate, as_free=as_free) != expected:
+            probed = compile_probe(ctrl, src, dst, probe_rate, as_free=as_free) is not None
+            if probed != expected:
                 mismatches.append((case, f"as_free={as_free}: oracle {expected}"))
         verdicts_changed_by_freeing += verdicts[0] != verdicts[1]
     assert not mismatches

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ibnsim import cli
 from ibnsim.cli import main
+from ibnsim.scenario import MAX_DOMAIN_ID
 from ibnsim.simulation import Simulation
 
 from .test_scenario import two_domain_doc
@@ -253,6 +254,56 @@ def test_negative_domain_id_exits_2(tmp_path, capsys, command):
     assert main([command, str(path)] + out) == 2
     assert capsys.readouterr().err == f"ibnsim: {path}: domain id must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("past", [MAX_DOMAIN_ID + 1, 10**300])
+def test_domain_id_bound_admits_the_bound_and_refuses_one_more(tmp_path, capsys, command, past):
+    # The bound is on the length of a file name, dag_<id>.dot: a domain id
+    # of 300 digits used to run and then exit 3 when that file was written.
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    out = tmp_path / "out"
+    paths = {}
+    for did in (MAX_DOMAIN_ID, past):
+        doc["domains"][0]["id"] = did
+        paths[did] = tmp_path / f"domain-{did % 1000}.json"
+        paths[did].write_text(json.dumps(doc))
+    more = [] if command == "validate" else ["--out", str(out)]
+
+    assert main([command, str(paths[MAX_DOMAIN_ID])] + more) == 0
+    if command == "run":
+        assert (out / f"dag_{MAX_DOMAIN_ID}.dot").exists()
+        more = ["--out", str(tmp_path / "past")]
+    capsys.readouterr()
+    assert main([command, str(paths[past])] + more) == 2
+    assert capsys.readouterr().err == (
+        f"ibnsim: {paths[past]}: domain id must be <= {MAX_DOMAIN_ID}\n")
+    assert not (tmp_path / "past").exists()
+
+
+@pytest.mark.parametrize("command", ["export-dag", "export-topology"])
+@pytest.mark.parametrize("past", [MAX_DOMAIN_ID + 1, 10**300])
+def test_state_domain_id_bound_admits_the_bound_and_refuses_one_more(tmp_path, capsys, command,
+                                                                     past):
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    doc["domains"][0]["id"] = MAX_DOMAIN_ID
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    assert main(["run", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 0
+    state = tmp_path / "run" / "state.json"
+    assert main([command, str(state), "--out", str(tmp_path / "re")]) == 0
+    if command == "export-dag":
+        assert (tmp_path / "re" / f"dag_{MAX_DOMAIN_ID}.dot").exists()
+
+    state_doc = json.loads(state.read_text())
+    state_doc["dags"] = {str(past): state_doc["dags"].pop(str(MAX_DOMAIN_ID))}
+    past_state = tmp_path / "past_state.json"
+    past_state.write_text(json.dumps(state_doc))
+    capsys.readouterr()
+    assert main([command, str(past_state), "--out", str(tmp_path / "past")]) == 2
+    assert capsys.readouterr().err == (
+        f"ibnsim: {past_state}: dags key '{past}' is past the largest domain id, "
+        f"{MAX_DOMAIN_ID}\n")
+    assert not (tmp_path / "past").exists()
 
 
 class Parsed(Exception):

@@ -113,16 +113,16 @@ def test_first_fit_matches_brute_force(data):
 
 # Short ties, and fibers long enough that 400G (600 km) or every mode fails.
 PLAN_KM = (0.1, 0.3, 60.0, 84.3, 700.0, 2000.0)
+PLAN_HOLDERS = st.sampled_from("abc")
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_plan_answers_like_the_eager_reference_plan(data):
-    # ``_plan`` pulls paths lazily; the reference takes the whole list
-    # first.  Same (path, mode, block), or the same first BlockReason, over
-    # random bookings, rates, as_free sets, exclusions and link flips.
+def draw_booked_domain(data, add_drop=4):
+    """A 3-6 node domain with random fibers of ``PLAN_KM`` and random
+    spectrum and port bookings by holders "a", "b" and "c"; None when no
+    fiber was drawn."""
     n = data.draw(st.integers(min_value=3, max_value=6), label="nodes")
-    ctrl = make_domain(nodes=n, ports=2, k_paths=data.draw(st.integers(1, 4), label="k"))
+    ctrl = make_domain(nodes=n, ports=2, add_drop=add_drop,
+                       k_paths=data.draw(st.integers(1, 4), label="k"))
     graph = ctrl.graph
     nodes = [NodeId(1, i) for i in range(1, n + 1)]
     for i, a in enumerate(nodes):
@@ -131,35 +131,101 @@ def test_plan_answers_like_the_eager_reference_plan(data):
                 graph.add_fiber_link(a, b, data.draw(st.sampled_from(PLAN_KM), label="km"))
     keys = list(graph.fiber_links)
     if not keys:
-        return
-    holders = st.sampled_from("abc")
+        return None
     slots = st.integers(min_value=1, max_value=graph.slot_count)
     for _ in range(data.draw(st.integers(0, 12), label="bookings")):
         link = graph.fiber_links[data.draw(st.sampled_from(keys), label="booked fiber")]
         start, end = sorted(data.draw(st.tuples(slots, slots), label="slots"))
         try:
-            graph.reserve_spectrum(link, start, end, data.draw(holders, label="holder"))
+            graph.reserve_spectrum(link, start, end, data.draw(PLAN_HOLDERS, label="holder"))
         except BookingConflictError:
             pass
     for _ in range(data.draw(st.integers(0, 3), label="ports")):
         try:
             graph.reserve_port(data.draw(st.sampled_from(nodes), label="port node"),
-                               data.draw(holders, label="port holder"), 100)
+                               data.draw(PLAN_HOLDERS, label="port holder"), 100)
         except BookingConflictError:
             pass
+    return ctrl, nodes, keys
+
+
+def draw_plan_request(data, graph, nodes, keys):
+    """Flip up to two fibers, then draw (src, dst, rate, excluded links)."""
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=2), label="flips"):
+        graph.set_link_operational(*key, not graph.fiber_links[key].operational)
+    src, dst = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2,
+                                  unique=True), label="ends")
+    rate = data.draw(st.sampled_from([100, 200, 300, 400]), label="rate")
+    excluded = data.draw(st.lists(st.sampled_from(keys), max_size=2), label="excluded")
+    return src, dst, rate, excluded
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_answers_like_the_eager_reference_plan(data):
+    # ``_plan`` pulls paths lazily; the reference takes the whole list
+    # first.  Same (path, mode, block), or the same first BlockReason, over
+    # random bookings, rates, as_free sets, exclusions and link flips.
+    drawn = draw_booked_domain(data)
+    if drawn is None:
+        return
+    ctrl, nodes, keys = drawn
     for _ in range(data.draw(st.integers(1, 4), label="rounds")):
-        for key in data.draw(st.lists(st.sampled_from(keys), max_size=2), label="flips"):
-            graph.set_link_operational(*key, not graph.fiber_links[key].operational)
-        src, dst = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2,
-                                      unique=True), label="ends")
-        rate = data.draw(st.sampled_from([100, 200, 300, 400]), label="rate")
-        excluded = data.draw(st.lists(st.sampled_from(keys), max_size=2), label="excluded")
-        as_free = frozenset(data.draw(st.sets(holders), label="as_free"))
+        src, dst, rate, excluded = draw_plan_request(data, ctrl.graph, nodes, keys)
+        as_free = frozenset(data.draw(st.sets(PLAN_HOLDERS), label="as_free"))
         args = (ctrl, src, dst, rate, excluded, as_free)
         if data.draw(st.booleans(), label="lazy first"):
             assert _plan(*args) == reference_plan(*args)
         else:
             assert reference_plan(*args) == _plan(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plan_with_a_holder_as_free_answers_like_its_release(data):
+    # Recovery rebuilds a failed piece from the plan its probe found with
+    # the piece's leaves as free, and only then releases them.  That is
+    # sound because the plan after the release is the same one: as_free
+    # frees exactly what a release frees, and routing reads link state only.
+    # One add/drop termination per node, so a lightpath can use up an end.
+    drawn = draw_booked_domain(data, add_drop=1)
+    if drawn is None:
+        return
+    ctrl, nodes, keys = drawn
+    graph = ctrl.graph
+    holder = data.draw(PLAN_HOLDERS, label="freed holder")
+    lightpaths = []
+    for _ in range(data.draw(st.integers(0, 3), label="lightpaths")):
+        path = data.draw(st.sampled_from(keys), label="lightpath fiber")
+        slot = data.draw(st.integers(1, graph.slot_count), label="lightpath slot")
+        owner = data.draw(PLAN_HOLDERS, label="lightpath holder")
+        try:
+            graph.reserve_lightpath(path, (slot, slot), owner)
+        except BookingConflictError:
+            continue
+        if owner == holder:
+            lightpaths.append((path, (slot, slot)))
+    src, dst, rate, excluded = draw_plan_request(data, graph, nodes, keys)
+    for end in (src, dst):
+        if data.draw(st.booleans(), label="port at an end"):
+            try:
+                graph.reserve_port(end, holder, 100)
+            except BookingConflictError:
+                pass
+    freed = _plan(ctrl, src, dst, rate, excluded, frozenset({holder}))
+
+    for path, slot_range in lightpaths:
+        graph.release_lightpath(path, slot_range, holder)
+    for link in graph.fiber_links.values():
+        while mask := link.holders.get(holder, 0):
+            start = end = (mask & -mask).bit_length()
+            while mask >> end & 1:  # bit s - 1 is slot s
+                end += 1
+            graph.release_spectrum(link, start, end, holder)
+    for node in nodes:
+        if holder in graph.routers[node].port_holders:
+            graph.release_port(node, holder)
+    assert _plan(ctrl, src, dst, rate, excluded) == freed
 
 
 class TestCompileConnectivity:

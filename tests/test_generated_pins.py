@@ -12,7 +12,12 @@ event, that each delegator has heard the current aggregate of what it
 delegated: that is what lets a link-down skip the domains that do not know
 the fiber.  They check as well that each DAG's failed-leaf index holds
 exactly its failed intents: that is what lets a link-up visit only the
-roots of failed leaves.
+roots of failed leaves.  And they check that every copy of a fiber is up or
+down alike: ``simulation._set_link_state`` writes each copy without looking
+at the others first.
+
+A churn run also checks that recovery rebuilds each failed piece from the
+plan its probe found, with one ``_plan`` call per attempt.
 """
 
 import json
@@ -21,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from ibnsim import scenario, simulation
+from ibnsim import compilation, scenario, simulation
+from ibnsim.intents import LightpathIntent
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -29,7 +35,11 @@ sys.path.insert(0, str(BENCH))
 from run import result_record  # noqa: E402
 from workloads import scenario_text  # noqa: E402
 
-from .oracles import failed_index_mismatches, notification_mismatches  # noqa: E402
+from .oracles import (  # noqa: E402
+    failed_index_mismatches,
+    link_state_problems,
+    notification_mismatches,
+)
 
 PINS = json.loads((BENCH / "pins.json").read_text())
 TIE_SENSITIVE = [("intra-mesh", 0), ("intra-mesh", 12),
@@ -39,14 +49,65 @@ TIE_SENSITIVE = [("intra-mesh", 0), ("intra-mesh", 12),
 @pytest.mark.parametrize("workload, seed", TIE_SENSITIVE,
                          ids=[f"{w}-{s}" for w, s in TIE_SENSITIVE])
 def test_generated_run_matches_pin(workload, seed):
-    unheard = []
+    problems = []
 
     def audit(sim, event):
         for ctrl in sim.domains.values():
-            unheard.extend((event, p) for p in notification_mismatches(ctrl))
-            unheard.extend((event, p) for p in failed_index_mismatches(ctrl))
+            problems.extend((event, p) for p in notification_mismatches(ctrl))
+            problems.extend((event, p) for p in failed_index_mismatches(ctrl))
+        problems.extend((event, p) for p in link_state_problems(sim.domains))
 
     parsed = scenario.parse_scenario(scenario_text(workload, seed))
     result = simulation.Simulation(parsed, on_event=audit).run()
     assert result_record(result) == PINS[workload][str(seed)]
-    assert unheard == []
+    assert problems == []
+
+
+def test_recovery_installs_the_plan_its_probe_found(monkeypatch):
+    probe, plan = simulation.compile_probe, compilation._plan
+    attempt, install = simulation._attempt_recovery, simulation.install_intent
+    attempts = []  # [_plan calls, probes] of each recovery attempt
+    active = []  # the counts of the attempt running now
+    plans = []  # what each probe returned
+    rebuilt = []  # (rebuilt lightpath, the plan probed for it)
+
+    def counted_plan(*args, **kwargs):
+        if active:
+            active[-1][0] += 1
+        return plan(*args, **kwargs)
+
+    def recorded_probe(*args, **kwargs):
+        active[-1][1] += 1
+        plans.append(probe(*args, **kwargs))
+        return plans[-1]
+
+    def recorded_install(ctrl, iid):  # in simulation, only recovery installs
+        lightpath, = (ctrl.dag.payload(leaf) for leaf in ctrl.dag.leaves_under(iid)
+                      if isinstance(ctrl.dag.payload(leaf), LightpathIntent))
+        path, mode, block = plans[-1]
+        rebuilt.append(((lightpath.path, lightpath.mode, lightpath.slot_range),
+                        (tuple(path), mode, block)))
+        return install(ctrl, iid)
+
+    def counted_attempt(ctrl, root):
+        attempts.append([0, 0])
+        active.append(attempts[-1])
+        try:
+            return attempt(ctrl, root)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(compilation, "_plan", counted_plan)
+    monkeypatch.setattr(simulation, "compile_probe", recorded_probe)
+    monkeypatch.setattr(simulation, "install_intent", recorded_install)
+    monkeypatch.setattr(simulation, "_attempt_recovery", counted_attempt)
+    result = simulation.Simulation(
+        scenario.parse_scenario(scenario_text("multidomain-churn", 4))).run()
+
+    assert result_record(result) == PINS["multidomain-churn"]["4"]
+    # One planning pass per attempt that probes, none for one that does not.
+    assert all(counts in ([0, 0], [1, 1]) for counts in attempts)
+    feasible = [p for p in plans if p is not None]
+    assert 0 < len(feasible) < len(plans)
+    assert len(rebuilt) == len(feasible) >= result.metrics.failures_recovered > 0
+    assert all(lightpath == probed for lightpath, probed in rebuilt)

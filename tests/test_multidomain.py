@@ -4,7 +4,12 @@ import pytest
 
 from ibnsim import multidomain
 from ibnsim.compilation import BlockReason, CompileOutcome, InstallOutcome
-from ibnsim.errors import StillInstalledError, UnknownRemoteError, WrongStateError
+from ibnsim.errors import (
+    LinkStateError,
+    StillInstalledError,
+    UnknownRemoteError,
+    WrongStateError,
+)
 from ibnsim.intents import (
     ConnectivityIntent,
     IntentId,
@@ -21,10 +26,15 @@ from ibnsim.multidomain import (
 )
 from ibnsim.network import NodeId
 from ibnsim.scenario import parse_scenario
-from ibnsim.simulation import monitor_failure
+from ibnsim.simulation import Simulation, monitor_failure, monitor_repair
 
 from .builders import make_domain, make_domains, reserve, snapshot
-from .oracles import free_slots, mirror_mismatches, notification_mismatches
+from .oracles import (
+    free_slots,
+    link_state_problems,
+    mirror_mismatches,
+    notification_mismatches,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -589,3 +599,42 @@ class TestFailuresAcrossDomains:
         # Delegation entered through the surviving border node 2.5.
         delegated = domains[2].dag.roots()
         assert domains[2].dag.payload(delegated[0]).src == NodeId(2, 5)
+
+
+def link_states(domains):
+    """Each graph's down bits, fiber flags and bookings, copied."""
+    return {did: (ctrl.graph._down, snapshot(ctrl),
+                  {key: link.operational for key, link in ctrl.graph.fiber_links.items()})
+            for did, ctrl in domains.items()}
+
+
+class TestLinkStateAcrossDomains:
+    """A border fiber lives in both neighbours' graphs.  The monitors set
+    every copy without checking the others first, which is sound only
+    while the copies agree."""
+
+    def test_border_fiber_copies_agree_after_every_event(self):
+        problems = []
+        flips = []
+
+        def audit(sim, event):
+            if event.link is not None:
+                flips.append(event.link)
+            problems.extend((event.seq, p) for p in link_state_problems(sim.domains))
+
+        doc = (SCENARIOS / "domain_ring.json").read_text()
+        Simulation(parse_scenario(doc), on_event=audit).run()
+        assert any(a.domain != b.domain for a, b in flips)
+        assert problems == []
+
+    @pytest.mark.parametrize("monitor", [monitor_failure, monitor_repair])
+    def test_border_fiber_already_in_that_state_changes_neither_graph(self, monitor):
+        domains = two_domains()
+        border = (NodeId(1, 3), NodeId(2, 1))
+        if monitor is monitor_failure:
+            monitor_failure(domains, *border)
+        before = link_states(domains)
+        with pytest.raises(LinkStateError):
+            monitor(domains, *border)
+        assert link_states(domains) == before
+        assert link_state_problems(domains) == []
