@@ -502,6 +502,9 @@ def _parse_events(raw, declared, fibers) -> tuple:
             holding = _require(entry, "holding", float)
             if rate <= 0 or holding <= 0:
                 raise ScenarioValidationError("arrival rate/holding must be positive")
+            if not math.isfinite(time + holding):
+                raise ScenarioValidationError(
+                    f"arrival at time {time}: time + holding overflows a float")
             events.append(
                 {
                     "time": time,

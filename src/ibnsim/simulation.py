@@ -17,6 +17,7 @@ import enum
 import heapq
 import logging
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -44,6 +45,12 @@ POLICY_NONE = "none"
 # Set-up holds every synthetic arrival at once (~0.3 kB each); see
 # docs/schema.md.
 MAX_ARRIVALS = 100_000
+
+# The largest exponential draw, -log1p(-u) for the largest double u < 1.
+MAX_DRAW = 53 * math.log(2)
+# Traffic whose event times could pass this is refused; the margin covers
+# rounding in the running sum of inter-arrival gaps.
+MAX_EVENT_TIME = sys.float_info.max / 2
 
 
 class EventKind(enum.Enum):
@@ -126,6 +133,11 @@ class TrafficConfig:
             raise InvalidConfigError("arrival rate must be > 0")
         if self.mean_holding <= 0:
             raise InvalidConfigError("mean holding time must be > 0")
+        if (self.arrivals * MAX_DRAW / self.arrival_rate
+                + MAX_DRAW * self.mean_holding > MAX_EVENT_TIME):
+            raise InvalidConfigError(
+                f"arrivals / arrival_rate + mean_holding must be at most about "
+                f"{MAX_EVENT_TIME / MAX_DRAW:.4g}, or event times overflow")
         if not self.pairs:
             raise InvalidConfigError("traffic needs at least one node pair")
         for src, dst, weight in self.pairs:
@@ -311,6 +323,9 @@ class Simulation:
 
     def __init__(self, scenario, on_event: Optional[Callable] = None):
         self.domains = scenario.build_domains()
+        # Domain-id order, the order deliver_messages drains outboxes in.
+        self._controllers = [self.domains[did] for did in sorted(self.domains)]
+        self._graphs = [ctrl.graph for ctrl in self._controllers]
         self.policy = scenario.recovery
         self.on_event = on_event
         self.metrics = Metrics()
@@ -324,7 +339,7 @@ class Simulation:
         # lower domain id.  Cross-domain lightpaths end at the border node,
         # so only a path through a foreign stub books a border fiber.
         self._total_cells = 0
-        for ctrl in self.domains.values():
+        for ctrl in self._controllers:
             for key in ctrl.graph.fiber_links:
                 if min(key[0].domain, key[1].domain) == ctrl.id:
                     self._total_cells += ctrl.graph.slot_count
@@ -449,12 +464,20 @@ class Simulation:
     # -- plumbing ----------------------------------------------------------------
 
     def _deliver(self) -> None:
+        # Most steps send nothing; a round with every outbox empty is a no-op.
+        for ctrl in self._controllers:
+            if ctrl.outbox:
+                break
+        else:
+            return
         # The frozen Message is kept as is; export.event_log_text renders it.
         self.event_log += [{"time": self.now, "event": "message", "message": msg}
                            for msg in deliver_messages(self.domains)]
 
     def _sample_utilization(self) -> None:
-        reserved = sum(d.graph.reserved_cells for d in self.domains.values())
+        reserved = 0
+        for graph in self._graphs:
+            reserved += graph.reserved_cells
         value = reserved / self._total_cells if self._total_cells else 0.0
         self.metrics.slot_utilization_samples.append((self.now, value))
 

@@ -1,7 +1,26 @@
 """Shared topology builders for the test suite."""
 
+import sys
+from pathlib import Path
+
 from ibnsim.multidomain import DomainConfig, DomainController, route_domains
 from ibnsim.network import NodeId
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def scenario_text(name: str) -> str:
+    """Text of ``scenarios/<name>``, or for ``churn-<seed>`` the benchmark's
+    multidomain-churn workload generated from that seed, as
+    ``tests/test_generated_pins.py`` builds it."""
+    if not name.startswith("churn-"):
+        return (ROOT / "scenarios" / name).read_text()
+    bench = str(ROOT / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import scenario_text as workload_text
+
+    return workload_text("multidomain-churn", int(name.removeprefix("churn-")))
 
 
 def make_domain(

@@ -306,6 +306,68 @@ def test_state_domain_id_bound_admits_the_bound_and_refuses_one_more(tmp_path, c
     assert not (tmp_path / "past").exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def assert_finite_artifacts(out: Path) -> None:
+    """Every events.log line is strict JSON and no metrics.csv field is a
+    nan or an infinity."""
+    for line in (out / "events.log").read_text().splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+    for line in (out / "metrics.csv").read_text().splitlines():
+        assert not {"nan", "inf", "-inf"} & set(line.split(",")), line
+
+
+def _arrival_at(time, holding):
+    return {"events": [{"time": time, "kind": "arrival", "src": [1, 1], "dst": [1, 2],
+                        "rate": 100, "holding": holding}]}
+
+
+def _traffic(arrival_rate, mean_holding):
+    return {"traffic": {"arrivals": 50, "arrival_rate": arrival_rate,
+                        "mean_holding": mean_holding}}
+
+
+TIME_BOUND = ("traffic: arrivals / arrival_rate + mean_holding must be at most about "
+              "2.447e+306, or event times overflow")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("past, problem", [
+    (_arrival_at(1.5e308, 1.5e308), "arrival at time 1.5e+308: time + holding overflows a float"),
+    (_traffic(1.0, 1e308), TIME_BOUND),
+    (_traffic(1e-307, 1.0), TIME_BOUND),
+], ids=["explicit", "mean_holding", "arrival_rate"])
+def test_overflowing_event_times_exit_2(tmp_path, capsys, command, past, problem):
+    # These used to run and exit 0 with a departure at time Infinity in
+    # events.log (not JSON) and mean_slot_utilization nan in metrics.csv.
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps({**doc, **past}))
+    more = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + more) == 2
+    assert capsys.readouterr().err == f"ibnsim: {path}: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("inside", [
+    _arrival_at(1e308, 7e307),  # the departure lands at 1.7e308
+    _traffic(1.0, 2.4e306),  # 36.74 * (50 + 2.4e306) is just under half the largest float
+], ids=["explicit", "traffic"])
+def test_event_times_just_inside_the_bound_run(tmp_path, inside):
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps({**doc, **inside}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert_finite_artifacts(tmp_path / "out")
+    times = [json.loads(line)["time"] for line in (tmp_path / "out" / "events.log").open()
+             if '"departure"' in line]
+    assert max(times) > 1e306
+
+
 class Parsed(Exception):
     """Raised in place of building a simulation: the scenario parsed."""
 
@@ -424,6 +486,7 @@ def test_fuzzed_text_exits_cleanly(command, data):
                        (line.split(",") for line in lines[1:per_intent])}
             assert metrics["offered"] == metrics["blocked"] + metrics["installed_ok"]
             assert metrics["offered"] == len(lines) - per_intent - 1
+            assert_finite_artifacts(out)
             for domain in json.loads((out / "state.json").read_text())["topology"]["domains"]:
                 assert all(not link["slots"] for link in domain["fiber_links"])
                 assert all(not node["ports_used"] and not node["add_drop_used"]

@@ -18,6 +18,7 @@ from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
 from ibnsim.scenario import _parse_node_ref, _require, parse_scenario, render_scenario
 from ibnsim.simulation import Simulation
 
+from .builders import scenario_text
 from .oracles import mutables, reference_parse_node_ref, reference_require
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -236,7 +237,8 @@ class TestBuildDomains:
     def test_controllers_share_no_mutable_state(self, name):
         self.assert_no_shared_state(parse_scenario((SCENARIOS / name).read_text()).build_domains())
 
-    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json"])
+    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json",
+                                      "domain_ring.json", "churn-4"])
     def test_controllers_share_no_mutable_state_during_and_after_a_run(self, name):
         # A run ends with every intent departed, so walk mid-run too, while
         # DAGs, mirrors and bookings are populated.
@@ -247,7 +249,7 @@ class TestBuildDomains:
                 self.assert_no_shared_state(sim.domains)
                 populated.append(sum(len(c.dag.nodes) for c in sim.domains.values()))
 
-        result = Simulation(parse_scenario((SCENARIOS / name).read_text()), on_event=audit).run()
+        result = Simulation(parse_scenario(scenario_text(name)), on_event=audit).run()
         self.assert_no_shared_state(result.domains)
         assert max(populated) > 0
 

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from ibnsim.intents import ConnectivityIntent, IntentState, LightpathIntent
 from ibnsim.network import NodeId
 from ibnsim.scenario import parse_scenario
 from ibnsim.simulation import (
+    MAX_DRAW,
+    MAX_EVENT_TIME,
     POLICY_NONE,
     Event,
     EventKind,
@@ -23,7 +26,7 @@ from ibnsim.simulation import (
     monitor_repair,
 )
 
-from .builders import chain, make_domain, reserve, snapshot
+from .builders import chain, make_domain, reserve, scenario_text, snapshot
 from .oracles import audit_resources, mutables
 
 N = NodeId
@@ -85,6 +88,16 @@ class TestGenerateTraffic:
             generate_traffic(TrafficConfig(10, 1.0, -1.0, PAIRS), 1)
         with pytest.raises(InvalidConfigError):
             generate_traffic(TrafficConfig(10, 1.0, 5.0, ()), 1)
+
+    def test_event_times_must_stay_finite(self):
+        # A draw u < 1 gives at most MAX_DRAW times the mean gap or holding,
+        # so the last departure stays below MAX_EVENT_TIME.
+        assert -math.log1p(-(1 - 2**-53)) == MAX_DRAW
+        assert 50 * MAX_DRAW + 2.4e306 * MAX_DRAW < MAX_EVENT_TIME
+        TrafficConfig(50, 1.0, 2.4e306, PAIRS)
+        for rate, holding in ((1.0, 1e308), (1e-307, 1.0), (1.0, 2.45e306)):
+            with pytest.raises(InvalidConfigError, match="or event times overflow"):
+                TrafficConfig(50, rate, holding, PAIRS)
 
     def test_pair_weights_need_a_finite_total(self):
         pairs = ((N(1, 1), N(1, 2), 1e308), (N(1, 2), N(1, 1), 1e308))
@@ -275,6 +288,23 @@ class TestRun:
             and (e["reason"] == "") == cross_domain
             for e in blocked
         )
+
+    @pytest.mark.parametrize("name", ["reference.json", "three_domain_line.json",
+                                      "domain_ring.json", "churn-4"])
+    def test_every_event_ends_quiescent(self, name):
+        # Simulation._deliver skips the delivery round when every outbox is
+        # empty, which is sound only if no event ends with a message queued
+        # or an install still waiting for its verdict.
+        unsettled = []
+
+        def audit(sim, event):
+            unsettled.extend((event.seq, ctrl.id, list(ctrl.outbox), sorted(ctrl.pending_installs))
+                             for ctrl in sim.domains.values()
+                             if ctrl.outbox or ctrl.pending_installs)
+
+        result = Simulation(parse_scenario(scenario_text(name)), on_event=audit).run()
+        assert unsettled == []
+        assert any(entry["event"] == "message" for entry in result.event_log)
 
     def test_reference_run_ends_with_empty_dags(self):
         scenario = parse_scenario((SCENARIOS / "reference.json").read_text())
