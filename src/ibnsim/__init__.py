@@ -41,7 +41,7 @@ from .network import (
     RouterView,
     TransmissionMode,
 )
-from .scenario import Scenario, parse_scenario, render_scenario
+from .scenario import Scenario, parse_scenario
 from .simulation import (
     Event,
     EventKind,

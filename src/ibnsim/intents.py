@@ -220,14 +220,12 @@ class IntentDAG:
     def roots(self) -> list:
         return [iid for iid, node in self.nodes.items() if node.parent is None]
 
-    def lineage(self, iid: IntentId) -> list:
-        """``iid``, its parent, and so on up to its root."""
-        chain = [iid]
+    def root(self, iid: IntentId) -> IntentId:
+        """The root of ``iid``'s tree (``iid`` itself if it has no parent)."""
         parent = self.nodes[iid].parent
         while parent is not None:
-            chain.append(parent)
-            parent = self.nodes[parent].parent
-        return chain
+            iid, parent = parent, self.nodes[parent].parent
+        return iid
 
     def subtree(self, iid: IntentId) -> list:
         """``iid`` and every intent below it, parents before children."""

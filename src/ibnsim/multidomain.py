@@ -234,7 +234,7 @@ class DomainController:
     def flush_notifications(self, touched: IntentId) -> None:
         """Notify the delegator of ``touched``'s root (delegated intents are
         roots) if the root's aggregate state changed since it last heard."""
-        root = self.dag.lineage(touched)[-1]
+        root = self.dag.root(touched)
         if root in self.origins:
             state = self.dag.aggregate_state(root)
             if self.last_notified.get(root) != state:

@@ -1,4 +1,4 @@
-"""Scenario documents: parsing, validation, rendering, and world-building.
+"""Scenario documents: parsing, validation, and world-building.
 
 A scenario is a single JSON document (schema version 1) describing domains
 with their nodes and fiber links, border links, shared configuration (grid
@@ -116,86 +116,6 @@ class Scenario:
             else:
                 append(Event(spec["time"], i, kind, link=spec["link"]))
         return out
-
-    # -- canonical rendering ---------------------------------------------------
-
-    def to_document(self) -> dict:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "grid_size": self.grid_size,
-            "k_paths": self.k_paths,
-            "recovery": self.recovery,
-            "seed": self.seed,
-            "mode_table": [
-                {"rate": m.rate, "reach": m.reach, "slots": m.slots_needed}
-                for m in self.mode_table
-            ],
-            "domains": [
-                {
-                    "id": d.id,
-                    "nodes": [
-                        {
-                            "local": n.local,
-                            "ports": n.ports,
-                            "port_rate": n.port_rate,
-                            "add_drop": n.add_drop,
-                        }
-                        for n in d.nodes
-                    ],
-                    "links": [
-                        {"a": l.a, "b": l.b, "length": l.length} for l in d.links
-                    ],
-                }
-                for d in sorted(self.domains, key=lambda d: d.id)
-            ],
-            "border_links": [
-                {"a": list(b.a), "b": list(b.b), "length": b.length}
-                for b in self.border_links
-            ],
-        }
-        if self.traffic is not None:
-            doc["traffic"] = {
-                "arrivals": self.traffic.arrivals,
-                "arrival_rate": self.traffic.arrival_rate,
-                "mean_holding": self.traffic.mean_holding,
-                "pairs": [
-                    {"src": list(src), "dst": list(dst), "weight": w}
-                    for src, dst, w in self.traffic.pairs
-                ],
-                "rates": [
-                    {"gbps": r, "weight": w} for r, w in self.traffic.rates
-                ],
-            }
-        if self.events:
-            rendered = []
-            for spec in self.events:
-                if spec["kind"] == "arrival":
-                    rendered.append(
-                        {
-                            "time": spec["time"],
-                            "kind": "arrival",
-                            "src": list(spec["src"]),
-                            "dst": list(spec["dst"]),
-                            "rate": spec["rate"],
-                            "holding": spec["holding"],
-                        }
-                    )
-                else:
-                    rendered.append(
-                        {
-                            "time": spec["time"],
-                            "kind": spec["kind"],
-                            "a": list(spec["link"][0]),
-                            "b": list(spec["link"][1]),
-                        }
-                    )
-            doc["events"] = rendered
-        return doc
-
-
-def render_scenario(scenario: Scenario) -> str:
-    """Canonical JSON text; parse(render(parse(d))) == parse(d)."""
-    return json.dumps(scenario.to_document(), indent=2, sort_keys=True) + "\n"
 
 
 # -- parsing -----------------------------------------------------------------
@@ -505,6 +425,10 @@ def _parse_events(raw, declared, fibers) -> tuple:
             if not math.isfinite(time + holding):
                 raise ScenarioValidationError(
                     f"arrival at time {time}: time + holding overflows a float")
+            if time + holding == time:
+                raise ScenarioValidationError(
+                    f"arrival at time {time}: holding {holding} vanishes next to "
+                    "its time, so it would depart at its arrival's instant")
             events.append(
                 {
                     "time": time,

@@ -51,6 +51,10 @@ MAX_DRAW = 53 * math.log(2)
 # Traffic whose event times could pass this is refused; the margin covers
 # rounding in the running sum of inter-arrival gaps.
 MAX_EVENT_TIME = sys.float_info.max / 2
+# mean_holding must be this many times the spacing of doubles at the latest
+# possible arrival time, so that only holding draws below about 2**-21 of
+# the mean can round away and leave a departure at its arrival's instant.
+HOLDING_ULPS = 2**20
 
 
 class EventKind(enum.Enum):
@@ -138,6 +142,11 @@ class TrafficConfig:
             raise InvalidConfigError(
                 f"arrivals / arrival_rate + mean_holding must be at most about "
                 f"{MAX_EVENT_TIME / MAX_DRAW:.4g}, or event times overflow")
+        least = HOLDING_ULPS * math.ulp(self.arrivals * MAX_DRAW / self.arrival_rate)
+        if self.mean_holding < least:
+            raise InvalidConfigError(
+                f"mean holding time must be >= {least!r}, {HOLDING_ULPS} times the "
+                "spacing of doubles at the latest arrival time")
         if not self.pairs:
             raise InvalidConfigError("traffic needs at least one node pair")
         for src, dst, weight in self.pairs:
@@ -217,7 +226,7 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
             if ctrl.dag.state(iid) is not IntentState.INSTALLED:
                 continue
             ctrl.dag.transition(iid, IntentState.FAILED)
-            root = ctrl.dag.lineage(iid)[-1]
+            root = ctrl.dag.root(iid)
             if root not in failed:
                 failed.append(root)
         # Between events every delegator has heard the current aggregate,
@@ -244,7 +253,7 @@ def monitor_repair(domains: dict, a: NodeId, b: NodeId,
             # Only the roots of failed leaves can be failed, and no root
             # fails during recovery.  Ids are never reused, so sorted ids
             # follow DAG insertion order.
-            for root in sorted({dag.lineage(leaf)[-1] for leaf in dag.failed}):
+            for root in sorted({dag.root(leaf) for leaf in dag.failed}):
                 recovered += _attempt_recovery(domains[did], root)
     return recovered
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from ibnsim import cli
 from ibnsim.cli import main
 from ibnsim.scenario import MAX_DOMAIN_ID
-from ibnsim.simulation import Simulation
+from ibnsim.simulation import HOLDING_ULPS, MAX_DRAW, Simulation
 
 from .test_scenario import two_domain_doc
 
@@ -366,6 +367,55 @@ def test_event_times_just_inside_the_bound_run(tmp_path, inside):
     times = [json.loads(line)["time"] for line in (tmp_path / "out" / "events.log").open()
              if '"departure"' in line]
     assert max(times) > 1e306
+
+
+# Traffic whose latest arrival can be near 1.8e306: a holding time of 1.0
+# vanishes next to such times.
+VANISHING_RATE = 50 / 2.4e306
+LEAST_HOLDING = HOLDING_ULPS * math.ulp(50 * MAX_DRAW / VANISHING_RATE)
+HOLDING_RULE = (f"traffic: mean holding time must be >= {LEAST_HOLDING!r}, 1048576 times the "
+                "spacing of doubles at the latest arrival time")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("past, problem", [
+    (_arrival_at(1e17, 8.0), "arrival at time 1e+17: holding 8.0 vanishes next to its time, "
+                             "so it would depart at its arrival's instant"),
+    (_traffic(VANISHING_RATE, 1.0), HOLDING_RULE),
+    (_traffic(VANISHING_RATE, math.nextafter(LEAST_HOLDING, 0)), HOLDING_RULE),
+], ids=["explicit", "traffic", "traffic-one-below"])
+def test_holding_that_vanishes_next_to_its_arrival_exits_2(tmp_path, capsys, command, past,
+                                                          problem):
+    # The traffic case used to run and exit 0 with every departure at its
+    # arrival's time, 50 installed intents and mean_slot_utilization 0.0.
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps({**doc, **past}))
+    more = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + more) == 2
+    assert capsys.readouterr().err == f"ibnsim: {path}: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("inside", [
+    _arrival_at(1e17, math.ulp(1e17)),
+    _traffic(VANISHING_RATE, LEAST_HOLDING),
+], ids=["explicit", "traffic"])
+def test_holding_just_inside_the_spacing_rule_runs(tmp_path, inside):
+    doc = json.loads((SCENARIOS / "minimal.json").read_text())
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps({**doc, **inside}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    arrived = {}
+    for line in (tmp_path / "out" / "events.log").read_text().splitlines():
+        record = json.loads(line)
+        if record["event"] == "arrival":
+            arrived[record["intent"]] = record["time"]
+        elif record["event"] == "departure":
+            assert record["time"] > arrived[record["intent"]]
+    assert arrived
 
 
 class Parsed(Exception):

@@ -176,7 +176,7 @@ ACCESSORS = {
     "transition": lambda dag, iid: dag.transition(iid, C),
     "children": lambda dag, iid: dag.children(iid),
     "parent": lambda dag, iid: dag.parent(iid),
-    "lineage": lambda dag, iid: dag.lineage(iid),
+    "root": lambda dag, iid: dag.root(iid),
     "subtree": lambda dag, iid: dag.subtree(iid),
     "leaves_under": lambda dag, iid: dag.leaves_under(iid),
     "aggregate_state": lambda dag, iid: dag.aggregate_state(iid),

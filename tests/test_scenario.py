@@ -15,7 +15,7 @@ from ibnsim.export import export_topology
 from ibnsim.intents import ConnectivityIntent, IntentNode, RemoteIntent
 from ibnsim.multidomain import Delegate
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
-from ibnsim.scenario import _parse_node_ref, _require, parse_scenario, render_scenario
+from ibnsim.scenario import _parse_node_ref, _require, parse_scenario
 from ibnsim.simulation import Simulation
 
 from .builders import scenario_text
@@ -150,15 +150,6 @@ class TestParseScenario:
         }
         with pytest.raises(ScenarioValidationError, match="duplicate domain"):
             parse_scenario(doc)
-
-
-class TestRoundTrip:
-    def test_render_parse_fixpoint(self):
-        for doc in (MINIMAL, two_domain_doc()):
-            once = parse_scenario(doc)
-            again = parse_scenario(render_scenario(once))
-            assert once == again
-            assert render_scenario(once) == render_scenario(again)
 
 
 class TestBuildDomains:

@@ -306,6 +306,26 @@ class TestRun:
         assert unsettled == []
         assert any(entry["event"] == "message" for entry in result.event_log)
 
+    @pytest.mark.parametrize("name", ["reference.json", "domain_ring.json", "churn-4"])
+    def test_every_departure_pops_after_its_arrival(self, name):
+        # A departure scheduled at now + holding must not round back onto
+        # its arrival's instant; the scenario boundary refuses holding
+        # times that could.
+        arrived = {}
+        departures = []
+
+        def audit(sim, event):
+            if event.kind is EventKind.ARRIVAL:
+                entry = next(e for e in reversed(sim.event_log) if e["event"] == "arrival")
+                if entry["outcome"] == "installed":
+                    arrived[entry["intent"]] = event.time
+            elif event.kind is EventKind.DEPARTURE:
+                assert event.time > arrived[str(event.intent_id)], event
+                departures.append(event.seq)
+
+        Simulation(parse_scenario(scenario_text(name)), on_event=audit).run()
+        assert len(departures) == len(arrived) > 0
+
     def test_reference_run_ends_with_empty_dags(self):
         scenario = parse_scenario((SCENARIOS / "reference.json").read_text())
         result = Simulation(scenario).run()
