@@ -3,8 +3,6 @@
 Subcommands:
   run              simulate a scenario and write metrics/log/export artifacts
   validate         parse and validate a scenario, reporting problems
-  export-dag       re-render intent DAGs from a saved run's state.json
-  export-topology  re-render the topology export from a saved state.json
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 runtime
 error.  The IBNSIM_LOG environment variable (debug|info|warning) selects log
@@ -14,16 +12,14 @@ verbosity.
 import argparse
 import contextlib
 import dataclasses
-import json
 import logging
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .errors import IbnError, ScenarioError
-from .export import dot_from_document, write_run_artifacts
-from .scenario import MAX_DOMAIN_ID, parse_scenario
+from .export import write_run_artifacts
+from .scenario import parse_scenario
 from .simulation import Simulation
 
 EXIT_OK = 0
@@ -52,16 +48,6 @@ def _build_parser() -> _Parser:
 
     validate = sub.add_parser("validate", help="check a scenario file")
     validate.add_argument("scenario", help="scenario JSON file")
-
-    export_dag = sub.add_parser("export-dag", help="re-render DAGs from a saved run")
-    export_dag.add_argument("state", help="state.json written by run")
-    export_dag.add_argument("--out", default=".", help="output directory")
-
-    export_topo = sub.add_parser(
-        "export-topology", help="re-render topology from a saved run"
-    )
-    export_topo.add_argument("state", help="state.json written by run")
-    export_topo.add_argument("--out", default=".", help="output directory")
     return parser
 
 
@@ -120,80 +106,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _read_state(path: str) -> dict:
-    text = _read_text(path)
-    try:
-        state = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ScenarioError(f"{path} is nested too deeply") from None
-    except ValueError as exc:  # an integer past CPython's digit limit
-        raise ScenarioError(f"{path}: {exc}") from None
-    problem = _state_problem(state)
-    if problem is not None:
-        raise ScenarioError(f"{path}: {problem}")
-    return state
-
-
-def _state_problem(state) -> Optional[str]:
-    """How ``state`` departs from the shape ``run`` writes, or None."""
-    if not isinstance(state, dict):
-        return "state must be a JSON object"
-    if not isinstance(state.get("topology", {}), dict):
-        return "topology must be an object"
-    dags = state.get("dags", {})
-    if not isinstance(dags, dict):
-        return "dags must be an object keyed by domain id"
-    for did, doc in dags.items():
-        if not (did.isascii() and did.isdigit()):
-            return f"dags key {did!r} is not a domain id"
-        if int(did.lstrip("0")[:11] or 0) > MAX_DOMAIN_ID:  # 11 digits exceed it
-            return f"dags key {did!r} is past the largest domain id, {MAX_DOMAIN_ID}"
-        if not isinstance(doc, dict):
-            return f"dags.{did} must be an object"
-        nodes, edges = doc.get("nodes"), doc.get("edges")
-        if not isinstance(nodes, list) or not all(
-            isinstance(n, dict) and all(isinstance(n.get(k), str) for k in ("id", "kind", "state"))
-            for n in nodes
-        ):
-            return f"dags.{did}.nodes must be a list of objects with string id, kind and state"
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
-            for e in edges
-        ):
-            return f"dags.{did}.edges must be a list of [parent, child] id pairs"
-    return None
-
-
-def _cmd_export_dag(args) -> int:
-    state = _read_state(args.state)
-    out = Path(args.out)
-    with _writing(args.out):
-        out.mkdir(parents=True, exist_ok=True)
-        for did in sorted(state.get("dags", {})):
-            path = out / f"dag_{did}.dot"
-            path.write_text(dot_from_document(state["dags"][did]))
-            print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_export_topology(args) -> int:
-    state = _read_state(args.state)
-    out = Path(args.out)
-    path = out / "topology.json"
-    with _writing(args.out):
-        out.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(state.get("topology", {}), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "validate": _cmd_validate,
-    "export-dag": _cmd_export_dag,
-    "export-topology": _cmd_export_topology,
 }
 
 

@@ -15,39 +15,18 @@ from .simulation import Metrics
 # -- intent DAG ---------------------------------------------------------------
 
 
-def dag_document(dag: IntentDAG) -> dict:
-    """JSON-able snapshot of a DAG: nodes with kind/state, sorted edges."""
-    nodes = []
-    for iid in sorted(dag.nodes):
-        nodes.append(
-            {
-                "id": str(iid),
-                "kind": intent_kind(dag.payload(iid)),
-                "state": dag.aggregate_state(iid).value,
-            }
-        )
-    edges = sorted(
-        (str(parent), str(child))
-        for parent in dag.nodes
-        for child in dag.children(parent)
-    )
-    return {"domain": dag.domain, "nodes": nodes, "edges": [list(e) for e in edges]}
-
-
-def dot_from_document(doc: dict) -> str:
+def export_dag(dag: IntentDAG) -> str:
+    """Render a DAG as Graphviz DOT, one node per intent, stable ordering."""
     lines = ["digraph intents {"]
-    for node in doc["nodes"]:
-        label = f"{node['kind']} / {node['id']} / {node['state']}"
-        lines.append(f'  "{node["id"]}" [label="{label}"];')
-    for parent, child in doc["edges"]:
+    for iid in sorted(dag.nodes):
+        label = f"{intent_kind(dag.payload(iid))} / {iid} / {dag.aggregate_state(iid).value}"
+        lines.append(f'  "{iid}" [label="{label}"];')
+    edges = sorted((str(parent), str(child)) for parent in dag.nodes
+                   for child in dag.children(parent))
+    for parent, child in edges:
         lines.append(f'  "{parent}" -> "{child}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_dag(dag: IntentDAG) -> str:
-    """Render a DAG as Graphviz DOT, one node per intent, stable ordering."""
-    return dot_from_document(dag_document(dag))
 
 
 # -- topology -----------------------------------------------------------------
@@ -176,10 +155,9 @@ def event_log_text(event_log: list) -> str:
 
 
 def write_run_artifacts(out_dir, result) -> list:
-    """Write metrics, event log, topology, DAGs, and a state snapshot.
+    """Write metrics, event log, topology and one DAG per domain.
 
-    Returns the list of written paths.  ``state.json`` bundles the topology
-    and DAG documents so exports can be re-rendered without re-running.
+    Returns the list of written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,14 +168,10 @@ def write_run_artifacts(out_dir, result) -> list:
         path.write_text(text)
         written.append(path)
 
-    topo = export_topology(result.domains)
-    dags = {str(did): dag_document(result.domains[did].dag) for did in sorted(result.domains)}
-
     _write("metrics.csv", metrics_csv(result.metrics))
     _write("events.log", event_log_text(result.event_log))
-    _write("topology.json", json.dumps(topo, indent=2, sort_keys=True) + "\n")
-    for did, doc in dags.items():
-        _write(f"dag_{did}.dot", dot_from_document(doc))
-    state = {"topology": topo, "dags": dags}
-    _write("state.json", json.dumps(state, indent=2, sort_keys=True) + "\n")
+    _write("topology.json", json.dumps(export_topology(result.domains), indent=2,
+                                       sort_keys=True) + "\n")
+    for did in sorted(result.domains):
+        _write(f"dag_{did}.dot", export_dag(result.domains[did].dag))
     return written

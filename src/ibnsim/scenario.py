@@ -27,6 +27,7 @@ RECOVERY_POLICIES = (POLICY_AUTO, POLICY_NONE)
 MAX_GRID_SIZE = 1024
 MAX_K_PATHS = 64
 MAX_DOMAIN_ID = 2**31 - 1  # not a size: dag_<id>.dot must be a valid file name
+MAX_TRAFFIC_PAIRS = 10**6  # traffic pairs "all" makes N*(N-1) of them
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 
@@ -277,7 +278,7 @@ def _parse_domains(raw) -> tuple:
     seen_ids = set()
     for dentry in raw:
         did = _require(dentry, "id", int)
-        if did < 0:  # run names files and state.json keys after it
+        if did < 0:  # run names a file after it
             raise ScenarioValidationError(f"domain id must be >= 0, got {did}")
         if did > MAX_DOMAIN_ID:
             raise ScenarioValidationError(f"domain id must be <= {MAX_DOMAIN_ID}")
@@ -364,6 +365,10 @@ def _parse_traffic(raw, declared) -> TrafficConfig:
     pairs_raw = raw.get("pairs", "all")
     if pairs_raw == "all":
         nodes = sorted(declared)
+        if len(nodes) * (len(nodes) - 1) > MAX_TRAFFIC_PAIRS:
+            raise ScenarioValidationError(
+                f'traffic: pairs "all" over {len(nodes)} nodes must make at most '
+                f"{MAX_TRAFFIC_PAIRS} pairs")
         pairs = tuple(
             (src, dst, 1.0) for src in nodes for dst in nodes if src != dst
         )

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import math
@@ -13,7 +12,8 @@ from hypothesis import strategies as st
 
 from ibnsim import cli
 from ibnsim.cli import main
-from ibnsim.scenario import MAX_DOMAIN_ID
+from ibnsim.export import export_dag, export_topology
+from ibnsim.scenario import MAX_DOMAIN_ID, MAX_TRAFFIC_PAIRS, parse_scenario
 from ibnsim.simulation import HOLDING_ULPS, MAX_DRAW, Simulation
 
 from .test_scenario import two_domain_doc
@@ -42,6 +42,20 @@ def test_usage_error_exits_1(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("export", ["dag", "topology"])
+def test_removed_export_subcommands_are_usage_errors(tmp_path, capsys, export):
+    # run writes topology.json and each dag_<id>.dot once, and the CLI has no
+    # subcommand that re-renders them: such a name is a usage error.
+    saved = tmp_path / "saved.json"
+    saved.write_text("{}")
+    assert main([f"export-{export}", str(saved), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("ibnsim: ")
+    assert "invalid choice" in captured.err and "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["saved.json"]
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(SCENARIOS / "single_link.json"), "--out", str(out1),
@@ -55,25 +69,57 @@ def test_run_twice_is_byte_identical(tmp_path):
 def test_run_writes_expected_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", str(SCENARIOS / "triangle.json"), "--out", str(out)]) == 0
-    assert (out / "metrics.csv").exists()
-    assert (out / "events.log").exists()
-    assert (out / "topology.json").exists()
-    assert (out / "dag_1.dot").exists()
-    assert (out / "state.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "dag_1.dot", "events.log", "metrics.csv", "topology.json"]
     stdout = capsys.readouterr().out
     assert "offered=1" in stdout
 
 
 def test_export_rerenders_from_state(tmp_path):
+    # The library exports, applied to the final state of a run, give back
+    # byte for byte the topology.json and dag_<id>.dot that run wrote.
     run_dir = tmp_path / "run"
     assert main(["run", str(SCENARIOS / "single_link.json"), "--out", str(run_dir)]) == 0
-    re_dir = tmp_path / "re"
-    assert main(["export-dag", str(run_dir / "state.json"), "--out", str(re_dir)]) == 0
-    assert main(["export-topology", str(run_dir / "state.json"), "--out", str(re_dir)]) == 0
-    assert (re_dir / "dag_1.dot").read_bytes() == (run_dir / "dag_1.dot").read_bytes()
-    assert (
-        re_dir / "topology.json"
-    ).read_bytes() == (run_dir / "topology.json").read_bytes()
+    result = Simulation(parse_scenario((SCENARIOS / "single_link.json").read_text())).run()
+    topology = json.dumps(export_topology(result.domains), indent=2, sort_keys=True) + "\n"
+    assert (run_dir / "topology.json").read_text() == topology
+    assert (run_dir / "dag_1.dot").read_text() == export_dag(result.domains[1].dag)
+
+
+SHIPPED = sorted(path.name for path in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_run_writes_each_artifact_once(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    assert main(["run", str(SCENARIOS / name), "--out", str(out)]) == 0
+    ids = [domain["id"] for domain in json.loads((SCENARIOS / name).read_text())["domains"]]
+    expected = sorted(["metrics.csv", "events.log", "topology.json"]
+                      + [f"dag_{did}.dot" for did in ids])
+    assert sorted(p.name for p in out.iterdir()) == expected
+    wrote = [line[len("wrote "):] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert sorted(Path(path).name for path in wrote) == expected
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_run_artifacts_show_a_released_network(tmp_path, name):
+    # A run processes every departure, so its final artifacts hold nothing:
+    # empty DAGs, and no slot, port, add/drop or virtual link in use.
+    out = tmp_path / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(SCENARIOS / name), "--out", str(out)]) == 0
+    topology = json.loads((out / "topology.json").read_text())
+    assert topology["intents"] == []
+    for domain in topology["domains"]:
+        assert domain["virtual_links"] == []
+        assert all(link["slots"] == {} for link in domain["fiber_links"])
+        assert all(node["ports_used"] == 0 and node["add_drop_used"] == 0
+                   for node in domain["nodes"])
+        assert (out / f"dag_{domain['id']}.dot").read_text() == "digraph intents {\n}\n"
+    metrics = dict(line.split(",") for line in
+                   (out / "metrics.csv").read_text().splitlines()[1:6])
+    assert int(metrics["offered"]) == int(metrics["blocked"]) + int(metrics["installed_ok"])
 
 
 def test_metrics_csv_shape(tmp_path):
@@ -83,8 +129,6 @@ def test_metrics_csv_shape(tmp_path):
     assert lines[0] == "metric,value"
     offered = int(next(l for l in lines if l.startswith("offered,")).split(",")[1])
     assert offered == 3
-    state = json.loads((out / "state.json").read_text())
-    assert "topology" in state and "dags" in state
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):
@@ -127,22 +171,6 @@ def test_conservation_violation_exits_3_without_traceback(tmp_path, capsys, monk
     assert err.splitlines() == ["ibnsim: conservation violated: offered=0 blocked=1 installed=2"]
 
 
-@pytest.mark.parametrize("command", ["export-dag", "export-topology"])
-@pytest.mark.parametrize(
-    "doc",
-    [[1, 2], {"dags": {"1": {"nodes": 3}}}, {"dags": [1]}],
-    ids=["not-an-object", "nodes-not-a-list", "dags-not-an-object"],
-)
-def test_malformed_state_exits_2_with_one_line(tmp_path, capsys, command, doc):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(doc))
-    assert main([command, str(state), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith(f"ibnsim: {state}: ")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("flips, state", [
     (["link_down", "link_down"], "down"),
     (["link_down", "link_up", "link_up"], "up"),
@@ -158,21 +186,17 @@ def test_impossible_link_event_exits_2(tmp_path, capsys, flips, state):
     assert capsys.readouterr().err.count(f"fiber 1.1-1.2 already {state}") == 2
 
 
-@pytest.mark.parametrize("command", ["run", "export-dag", "export-topology"])
+@pytest.mark.parametrize("command", ["run"])
 def test_unwritable_out_exits_3(tmp_path, capsys, command):
-    run_dir = tmp_path / "run"
-    assert main(["run", str(SCENARIOS / "single_link.json"), "--out", str(run_dir)]) == 0
-    capsys.readouterr()
     blocker = tmp_path / "file"
     blocker.write_text("")
-    source = SCENARIOS / "single_link.json" if command == "run" else run_dir / "state.json"
-    assert main([command, str(source), "--out", str(blocker)]) == 3
+    assert main([command, str(SCENARIOS / "single_link.json"), "--out", str(blocker)]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"ibnsim: cannot write {blocker}: File exists\n"
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "export-dag", "export-topology"])
+@pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "content, problem",
     [(b'\xff{"schema": 1}', "is not UTF-8 text"),
@@ -209,14 +233,11 @@ def test_scenario_parse_error_names_the_file(tmp_path, capsys, command, content,
 LONG_INT = "9" * 5000  # past CPython's 4,300-digit int conversion limit
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "export-dag", "export-topology"])
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_overlong_json_integer_exits_2_with_one_line(tmp_path, capsys, command):
     path = tmp_path / "input.json"
-    if command in ("validate", "run"):
-        text = (SCENARIOS / "single_link.json").read_text()
-        path.write_text(text.replace("{", '{"seed": ' + LONG_INT + ", ", 1))
-    else:
-        path.write_text('{"dags": {}, "topology": {"n": ' + LONG_INT + "}}")
+    text = (SCENARIOS / "single_link.json").read_text()
+    path.write_text(text.replace("{", '{"seed": ' + LONG_INT + ", ", 1))
     out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
     assert main([command, str(path)] + out) == 2
     err = capsys.readouterr().err
@@ -244,9 +265,8 @@ def test_traffic_number_that_overflows_exits_2(tmp_path, capsys, edit, problem):
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_negative_domain_id_exits_2(tmp_path, capsys, command):
-    # A run names dag_<id>.dot and its state.json keys after the domain id,
-    # and export-dag reads back only ids >= 0: a domain -1 used to run and
-    # leave a state.json that export-dag and export-topology refused.
+    # A run names dag_<id>.dot after the domain id, so an id must read as a
+    # plain number.
     doc = json.loads((SCENARIOS / "minimal.json").read_text())
     doc["domains"][0]["id"] = -1
     path = tmp_path / "scenario.json"
@@ -279,31 +299,6 @@ def test_domain_id_bound_admits_the_bound_and_refuses_one_more(tmp_path, capsys,
     assert main([command, str(paths[past])] + more) == 2
     assert capsys.readouterr().err == (
         f"ibnsim: {paths[past]}: domain id must be <= {MAX_DOMAIN_ID}\n")
-    assert not (tmp_path / "past").exists()
-
-
-@pytest.mark.parametrize("command", ["export-dag", "export-topology"])
-@pytest.mark.parametrize("past", [MAX_DOMAIN_ID + 1, 10**300])
-def test_state_domain_id_bound_admits_the_bound_and_refuses_one_more(tmp_path, capsys, command,
-                                                                     past):
-    doc = json.loads((SCENARIOS / "minimal.json").read_text())
-    doc["domains"][0]["id"] = MAX_DOMAIN_ID
-    (tmp_path / "scenario.json").write_text(json.dumps(doc))
-    assert main(["run", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "run")]) == 0
-    state = tmp_path / "run" / "state.json"
-    assert main([command, str(state), "--out", str(tmp_path / "re")]) == 0
-    if command == "export-dag":
-        assert (tmp_path / "re" / f"dag_{MAX_DOMAIN_ID}.dot").exists()
-
-    state_doc = json.loads(state.read_text())
-    state_doc["dags"] = {str(past): state_doc["dags"].pop(str(MAX_DOMAIN_ID))}
-    past_state = tmp_path / "past_state.json"
-    past_state.write_text(json.dumps(state_doc))
-    capsys.readouterr()
-    assert main([command, str(past_state), "--out", str(tmp_path / "past")]) == 2
-    assert capsys.readouterr().err == (
-        f"ibnsim: {past_state}: dags key '{past}' is past the largest domain id, "
-        f"{MAX_DOMAIN_ID}\n")
     assert not (tmp_path / "past").exists()
 
 
@@ -457,6 +452,50 @@ def test_size_caps_admit_the_cap_and_refuse_one_more(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+def _chain_with_all_pairs(count):
+    """One chain domain of ``count`` nodes with traffic over every pair."""
+    nodes = [{"local": i, "ports": 8, "port_rate": 400, "add_drop": 8}
+             for i in range(1, count + 1)]
+    links = [{"a": i, "b": i + 1, "length": 100.0} for i in range(1, count)]
+    return {"schema": 1, "domains": [{"id": 1, "nodes": nodes, "links": links}],
+            "traffic": {"arrivals": 10, "arrival_rate": 1.0, "mean_holding": 1.0,
+                        "pairs": "all"}}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_all_pairs_bound_refuses_one_node_more(tmp_path, capsys, command):
+    # 2,000 nodes used to build 3,998,000 pairs and peak at 479 MB before
+    # the first event; the bound is checked before any pair is built.
+    assert 1001 * 1000 > MAX_TRAFFIC_PAIRS >= 1000 * 999
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(_chain_with_all_pairs(1001)))
+    more = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, str(path)] + more) == 2
+    assert capsys.readouterr().err == (
+        f'ibnsim: {path}: traffic: pairs "all" over 1001 nodes must make at most '
+        f"{MAX_TRAFFIC_PAIRS} pairs\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_pairs_bound_admits_the_bound(tmp_path, capsys):
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps(_chain_with_all_pairs(1000)))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+
+
+def test_explicit_pairs_list_is_not_bounded(tmp_path, capsys):
+    # The document holds each pair of an explicit list, so its size is
+    # bounded by the document's: 1,001 nodes pass with a few listed pairs.
+    doc = _chain_with_all_pairs(1001)
+    doc["traffic"]["pairs"] = [{"src": [1, 1], "dst": [1, 1001]},
+                               {"src": [1, 500], "dst": [1, 2], "weight": 2.0}]
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+
+
 # -- fuzzing the boundary with raw text -----------------------------------------------
 
 
@@ -472,15 +511,6 @@ ODD_NUMBERS = [
     "1e-400", "1E+999999999999", "0.1e99999", "NaN", "Infinity", "-Infinity",
     "0", "-0", "-1", "0.5", "3", "1e2", "true", "null", '"7"', "[]", "{}",
 ]
-
-
-@functools.lru_cache(maxsize=None)
-def state_text() -> str:
-    """state.json of a run of triangle.json: one compiled intent, a failure."""
-    with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["run", str(SCENARIOS / "triangle.json"), "--out", out]) == 0
-        return (Path(out) / "state.json").read_text()
 
 
 @st.composite
@@ -506,17 +536,14 @@ def fuzzed_text(draw, base):
     return text
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "export-dag", "export-topology"])
+@pytest.mark.parametrize("command", ["validate", "run"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fuzzed_text_exits_cleanly(command, data):
     # Whatever the text, main returns 0, 2 or 3 with one "ibnsim: " line on
-    # stderr for a refusal, and an accepted run conserves its intents, ends
-    # with every resource released and leaves a state.json the exports read.
-    if command in ("validate", "run"):
-        base = data.draw(st.sampled_from(SCENARIO_TEXTS), label="scenario")
-    else:
-        base = state_text()
+    # stderr for a refusal, and an accepted run conserves its intents and
+    # ends with every resource released.
+    base = data.draw(st.sampled_from(SCENARIO_TEXTS), label="scenario")
     text = data.draw(fuzzed_text(base), label="text")
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "input.json", Path(tmp) / "out"
@@ -537,10 +564,7 @@ def test_fuzzed_text_exits_cleanly(command, data):
             assert metrics["offered"] == metrics["blocked"] + metrics["installed_ok"]
             assert metrics["offered"] == len(lines) - per_intent - 1
             assert_finite_artifacts(out)
-            for domain in json.loads((out / "state.json").read_text())["topology"]["domains"]:
+            for domain in json.loads((out / "topology.json").read_text())["domains"]:
                 assert all(not link["slots"] for link in domain["fiber_links"])
                 assert all(not node["ports_used"] and not node["add_drop_used"]
                            for node in domain["nodes"])
-            for export in ("export-dag", "export-topology"):  # a run's state reads back
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert main([export, str(out / "state.json"), "--out", str(out / "re")]) == 0

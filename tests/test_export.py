@@ -13,6 +13,7 @@ from ibnsim.intents import (
     IntentDAG,
     IntentId,
     RouterPortIntent,
+    intent_kind,
 )
 from ibnsim.multidomain import Delegate, Message, Remove
 from ibnsim.network import NodeId
@@ -82,6 +83,27 @@ class TestExportDag:
             return dag
 
         assert export_dag(build()) == export_dag(build())
+
+    def test_nodes_sort_by_id_and_edges_by_text(self):
+        dag = IntentDAG(domain=1)
+        parent = dag.add_intent(ConnectivityIntent(N1, N2, 100))
+        for _ in range(11):
+            dag.add_child(parent, RouterPortIntent(N1, 100))
+        nodes, edges = parse_dot(export_dag(dag))
+        assert list(nodes) == [f"1#{n}" for n in range(1, 13)]
+        assert edges == [("1#1", f"1#{n}") for n in sorted(map(str, range(2, 13)))]
+
+    def test_installed_dag_shows_each_node_state_and_edge(self):
+        ctrl, root = installed_domain()
+        nodes, edges = parse_dot(export_dag(ctrl.dag))
+        assert nodes == {
+            str(iid): f"{intent_kind(node.payload)} / {iid} / "
+                      f"{ctrl.dag.aggregate_state(iid).value}"
+            for iid, node in ctrl.dag.nodes.items()}
+        assert nodes[str(root)] == f"connectivity / {root} / installed"
+        assert sorted(edges) == sorted((str(iid), str(child)) for iid in ctrl.dag.nodes
+                                       for child in ctrl.dag.children(iid))
+        assert edges
 
 
 def installed_domain():

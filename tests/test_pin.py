@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from ibnsim.cli import main
-from ibnsim.export import export_topology
+from ibnsim.export import export_dag, export_topology
 from ibnsim.scenario import parse_scenario
 from ibnsim.simulation import Simulation
 
@@ -24,16 +24,21 @@ PINNED_SHA256 = {
     # The final exports: every slot is free again and both DAGs are empty,
     # but topology.json still carries each node's ``stub`` flag.
     "topology.json": "fcd3ee1986d91f4c5933307767a13f0b1ce45b3fc3c226e68dd76555d9a66bc2",
-    "state.json": "cc6aa68c306237a575b5240800121047e14ff63810357e0e628992da81eed20b",
     "dag_1.dot": "0d760e83f097e0f12fc6f1fba4dff398b59fff6f2b304f7582c4faeb98ea7ddc",
     "dag_2.dot": "0d760e83f097e0f12fc6f1fba4dff398b59fff6f2b304f7582c4faeb98ea7ddc",
 }
 
-# The reference run ends with every slot free, so its final topology.json
-# shows no per-slot holders.  Event seq 687 is its busiest: after it, the
-# domains hold 812 (fiber, slot) cells, more than after any other event.
+# The reference run ends with every slot free and both DAGs empty, so its
+# final topology.json shows no per-slot holders and each dag_<id>.dot is
+# ``digraph intents {}``.  Event seq 687 is its busiest: after it, the
+# domains hold 812 (fiber, slot) cells, more than after any other event, and
+# the two DAGs render to 266 and 293 lines of DOT, remote mirrors included.
 BUSIEST_SEQ = 687
 BUSIEST_TOPOLOGY_SHA256 = "656fcc780323be8f9ff59db8d897aceea0cd26f612330628a25b994fd5aed0ae"
+BUSIEST_DAG_SHA256 = {
+    1: "61d445467bc0dd55aae1840bd08fe2acad180efc21e95ac6e28cc67e4c5223ea",
+    2: "e1ccd3fd25274d16194c1e4a8f0967511e0aef3addbb6e7d30205e5c69fb3728",
+}
 
 
 def test_reference_run_outputs_match_pin(tmp_path):
@@ -53,9 +58,11 @@ def test_reference_topology_at_busiest_event_matches_pin():
             seen["cells"] = sum(ctrl.graph.reserved_cells for ctrl in sim.domains.values())
             text = json.dumps(export_topology(sim.domains), indent=2, sort_keys=True) + "\n"
             seen["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+            seen["dags"] = {did: hashlib.sha256(export_dag(ctrl.dag).encode()).hexdigest()
+                            for did, ctrl in sim.domains.items()}
 
     Simulation(parse_scenario(REFERENCE.read_text()), on_event=on_event).run()
-    assert seen == {"cells": 812, "sha256": BUSIEST_TOPOLOGY_SHA256}
+    assert seen == {"cells": 812, "sha256": BUSIEST_TOPOLOGY_SHA256, "dags": BUSIEST_DAG_SHA256}
 
 
 # Five domains in a ring with the chord 1-3, one border fiber per pair of
