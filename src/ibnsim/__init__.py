@@ -41,14 +41,12 @@ from .network import (
     RouterView,
     TransmissionMode,
 )
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, TrafficConfig, generate_traffic, parse_scenario
 from .simulation import (
     Event,
     EventKind,
     Metrics,
     Simulation,
-    TrafficConfig,
-    generate_traffic,
     monitor_failure,
     monitor_repair,
     run,

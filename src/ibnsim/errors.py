@@ -78,7 +78,3 @@ class ScenarioParseError(ScenarioError):
 
 class ScenarioValidationError(ScenarioError):
     pass
-
-
-class InvalidConfigError(IbnError):
-    pass

@@ -5,18 +5,27 @@ with their nodes and fiber links, border links, shared configuration (grid
 size, candidate path count, transceiver mode table, recovery policy), and
 either synthetic traffic parameters or an explicit event list.  See
 docs/schema.md for the field-by-field reference.
+
+Traffic synthesis draws from numpy's PCG64 stream (``Generator(PCG64(seed))
+.random()``), reproduced in pure Python by ``pcg64``, so every seed gives
+the same traffic with or without numpy installed.  Inverse-CDF sampling
+gives the exponential inter-arrival and holding times, which makes event
+lists reproducible bit-for-bit across platforms.
 """
 
 import json
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidConfigError, ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError, ScenarioValidationError
 from .intents import ConnectivityIntent
 from .multidomain import DomainConfig, DomainController, route_domains
 from .network import DEFAULT_MODE_TABLE, DEFAULT_SLOT_COUNT, NodeId, TransmissionMode, link_key
-from .simulation import POLICY_AUTO, POLICY_NONE, Event, EventKind, TrafficConfig, generate_traffic
+from .pcg64 import random_doubles
+from .simulation import POLICY_AUTO, POLICY_NONE, Event, EventKind
 
 SCHEMA_VERSION = 1
 
@@ -28,8 +37,114 @@ MAX_GRID_SIZE = 1024
 MAX_K_PATHS = 64
 MAX_DOMAIN_ID = 2**31 - 1  # not a size: dag_<id>.dot must be a valid file name
 MAX_TRAFFIC_PAIRS = 10**6  # traffic pairs "all" makes N*(N-1) of them
+MAX_ARRIVALS = 100_000  # set-up holds every synthetic arrival (~0.3 kB each)
+
+# The largest exponential draw, -log1p(-u) for the largest double u < 1.
+MAX_DRAW = 53 * math.log(2)
+# Traffic whose event times could pass this is refused; the margin covers
+# rounding in the running sum of inter-arrival gaps.
+MAX_EVENT_TIME = sys.float_info.max / 2
+# mean_holding must be this many times the spacing of doubles at the latest
+# possible arrival time, so that only holding draws below about 2**-21 of
+# the mean can round away and leave a departure at its arrival's instant.
+HOLDING_ULPS = 2**20
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
+
+
+# -- traffic synthesis ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrafficConfig:
+    arrivals: int
+    arrival_rate: float  # intents per second
+    mean_holding: float  # seconds
+    pairs: tuple  # ((src: NodeId, dst: NodeId, weight), ...)
+    rates: tuple = ((100, 1.0),)  # ((gbps, weight), ...)
+
+    def __post_init__(self):
+        if self.arrivals < 0:
+            raise ScenarioValidationError("traffic: arrivals must be >= 0")
+        if self.arrivals > MAX_ARRIVALS:
+            raise ScenarioValidationError(f"traffic: arrivals must be <= {MAX_ARRIVALS}")
+        if self.arrival_rate <= 0:
+            raise ScenarioValidationError("traffic: arrival rate must be > 0")
+        if self.mean_holding <= 0:
+            raise ScenarioValidationError("traffic: mean holding time must be > 0")
+        if (self.arrivals * MAX_DRAW / self.arrival_rate
+                + MAX_DRAW * self.mean_holding > MAX_EVENT_TIME):
+            raise ScenarioValidationError(
+                "traffic: arrivals / arrival_rate + mean_holding must be at most about "
+                f"{MAX_EVENT_TIME / MAX_DRAW:.4g}, or event times overflow")
+        least = HOLDING_ULPS * math.ulp(self.arrivals * MAX_DRAW / self.arrival_rate)
+        if self.mean_holding < least:
+            raise ScenarioValidationError(
+                f"traffic: mean holding time must be >= {least!r}, {HOLDING_ULPS} times "
+                "the spacing of doubles at the latest arrival time")
+        if not self.pairs:
+            raise ScenarioValidationError("traffic: traffic needs at least one node pair")
+        for src, dst, weight in self.pairs:
+            if src == dst:
+                raise ScenarioValidationError(f"traffic: pair {src}->{dst} is a loop")
+            if weight <= 0:
+                raise ScenarioValidationError(
+                    f"traffic: pair {src}->{dst} needs a positive weight")
+        if not self.rates or any(w <= 0 or r <= 0 for r, w in self.rates):
+            raise ScenarioValidationError("traffic: rates need positive gbps and weights")
+        # _pick scales a draw by the total; an infinite one picks the last.
+        for name, weights in (("pair", [w for _, _, w in self.pairs]),
+                              ("rate", [w for _, w in self.rates])):
+            if not math.isfinite(_cumulative(weights)[-1]):
+                raise ScenarioValidationError(
+                    f"traffic: {name} weights must have a finite total")
+
+
+def generate_traffic(config: TrafficConfig, seed: int) -> list:
+    """Synthesize ARRIVAL events with exponential inter-arrival/holding times.
+
+    Four draws per arrival from numpy's PCG64 stream for ``seed`` (see
+    ``pcg64``), in fixed order: inter-arrival, node pair, rate, holding
+    time.  Exponentials come from the inverse CDF (-ln(1-u) / rate), so
+    scaling the arrival rate rescales arrival times exactly while leaving
+    the rest of the stream untouched.
+    """
+    pairs, rates = config.pairs, config.rates
+    pair_cum = _cumulative([w for _, _, w in pairs])
+    rate_cum = _cumulative([w for _, w in rates])
+    arrival_rate, mean_holding = config.arrival_rate, config.mean_holding
+    log1p, pick, arrival = math.log1p, _pick, EventKind.ARRIVAL
+    draws = iter(random_doubles(seed, 4 * config.arrivals))
+
+    events = []
+    append = events.append
+    now = 0.0
+    seq = 0
+    for u_gap, u_pair, u_rate, u_hold in zip(draws, draws, draws, draws):
+        now += -log1p(-u_gap) / arrival_rate
+        src, dst, _ = pairs[pick(pair_cum, u_pair)]
+        intent = ConnectivityIntent(src, dst, rates[pick(rate_cum, u_rate)][0])
+        append(Event(now, seq, arrival, intent, -log1p(-u_hold) * mean_holding))
+        seq += 1
+    return events
+
+
+def _cumulative(weights):
+    total = 0.0
+    out = []
+    for w in weights:
+        total += w
+        out.append(total)
+    return out
+
+
+def _pick(cumulative, u: float) -> int:
+    """First index whose edge exceeds u * total, else the last index."""
+    i = bisect_right(cumulative, u * cumulative[-1])
+    return i if i < len(cumulative) else i - 1
+
+
+# -- specs -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -385,8 +500,6 @@ def _parse_traffic(raw, declared) -> TrafficConfig:
                     raise ScenarioValidationError(
                         f"traffic pair references unknown node {end}"
                     )
-            if src == dst:
-                raise ScenarioValidationError(f"traffic pair {src}->{dst} is a loop")
             pairs.append((src, dst, weight))
         pairs = tuple(pairs)
 
@@ -394,25 +507,23 @@ def _parse_traffic(raw, declared) -> TrafficConfig:
         (_require(entry, "gbps", int), _optional(entry, "weight", float, 1.0))
         for entry in _optional(raw, "rates", list, [{"gbps": 100}])
     )
-    try:
-        return TrafficConfig(
-            arrivals=arrivals,
-            arrival_rate=rate,
-            mean_holding=holding,
-            pairs=pairs,
-            rates=rates,
-        )
-    except InvalidConfigError as exc:
-        raise ScenarioValidationError(f"traffic: {exc}") from None
+    return TrafficConfig(arrivals, rate, holding, pairs, rates)
 
 
 def _parse_events(raw, declared, fibers) -> tuple:
+    """Check each entry as it is read, so the first offending one in file
+    order is the one reported."""
     events = []
+    last = 0.0
+    down = set()
     for entry in raw:
         time = _require(entry, "time", float)
         kind = _require(entry, "kind", str)
         if time < 0:
             raise ScenarioValidationError("event times must be >= 0")
+        if time < last:
+            raise ScenarioValidationError("explicit events must be time-ordered")
+        last = time
         if kind == "arrival":
             src = _parse_node_ref(_require(entry, "src", list), "arrival event")
             dst = _parse_node_ref(_require(entry, "dst", list), "arrival event")
@@ -447,24 +558,17 @@ def _parse_events(raw, declared, fibers) -> tuple:
         elif kind in ("link_down", "link_up"):
             a = _parse_node_ref(_require(entry, "a", list), "link event")
             b = _parse_node_ref(_require(entry, "b", list), "link event")
-            if link_key(a, b) not in fibers:
+            key = link_key(a, b)
+            if key not in fibers:
                 raise ScenarioValidationError(f"link event on unknown fiber {a}-{b}")
+            # The engine runs time-ordered events in file order.  Every
+            # fiber starts up; only an up fiber can go down, a down one up.
+            if (key in down) == (kind == "link_down"):
+                state = "down" if key in down else "up"
+                raise ScenarioValidationError(
+                    f"{kind} at time {time}: fiber {a}-{b} already {state}")
+            down ^= {key}
             events.append({"time": time, "kind": kind, "link": (a, b)})
         else:
             raise ScenarioParseError(f"unknown event kind {kind!r}")
-    if any(e1["time"] > e2["time"] for e1, e2 in zip(events, events[1:])):
-        raise ScenarioValidationError("explicit events must be time-ordered")
-    # Replay fiber states in the engine's (time, file order): every fiber
-    # starts up, and only an up fiber can go down, only a down one come up.
-    down = set()
-    for event in events:
-        if event["kind"] != "arrival":
-            a, b = event["link"]
-            key = link_key(a, b)
-            if (key in down) == (event["kind"] == "link_down"):
-                state = "down" if key in down else "up"
-                raise ScenarioValidationError(
-                    f"{event['kind']} at time {event['time']}: fiber {a}-{b} already {state}"
-                )
-            down ^= {key}
     return tuple(events)

@@ -5,25 +5,15 @@ processed in (time, sequence) order; after every event all inter-domain
 messages are delivered to quiescence, so each event resolves fully before
 the next one runs.  The engine is single-threaded and replay-deterministic:
 the same scenario and seed always produce identical metrics and logs.
-
-Traffic synthesis draws from numpy's PCG64 stream (``Generator(PCG64(seed))
-.random()``), reproduced in pure Python by ``pcg64``, so every seed gives
-the same traffic with or without numpy installed.  Inverse-CDF sampling
-gives the exponential inter-arrival and holding times, which makes event
-lists reproducible bit-for-bit across platforms.
 """
 
 import enum
 import heapq
 import logging
-import math
-import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .compilation import (
-    CompileOutcome,
     InstallOutcome,
     compile_connectivity,
     compile_probe,
@@ -31,30 +21,15 @@ from .compilation import (
     install_intent,
     uninstall_intent,
 )
-from .errors import ConservationError, InvalidConfigError, UnknownLinkError
+from .errors import ConservationError, UnknownLinkError
 from .intents import HOLDING_STATES, ConnectivityIntent, IntentId, IntentState, RemoteIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
-from .pcg64 import random_doubles
 
 log = logging.getLogger(__name__)
 
 POLICY_AUTO = "auto-recompile"
 POLICY_NONE = "none"
-
-# Set-up holds every synthetic arrival at once (~0.3 kB each); see
-# docs/schema.md.
-MAX_ARRIVALS = 100_000
-
-# The largest exponential draw, -log1p(-u) for the largest double u < 1.
-MAX_DRAW = 53 * math.log(2)
-# Traffic whose event times could pass this is refused; the margin covers
-# rounding in the running sum of inter-arrival gaps.
-MAX_EVENT_TIME = sys.float_info.max / 2
-# mean_holding must be this many times the spacing of doubles at the latest
-# possible arrival time, so that only holding draws below about 2**-21 of
-# the mean can round away and leave a departure at its arrival's instant.
-HOLDING_ULPS = 2**20
 
 
 class EventKind(enum.Enum):
@@ -115,94 +90,6 @@ class Metrics:
                 f"conservation violated: offered={self.offered} "
                 f"blocked={self.blocked} installed={self.installed_ok}"
             )
-
-
-# -- traffic synthesis ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    arrivals: int
-    arrival_rate: float  # intents per second
-    mean_holding: float  # seconds
-    pairs: tuple  # ((src: NodeId, dst: NodeId, weight), ...)
-    rates: tuple = ((100, 1.0),)  # ((gbps, weight), ...)
-
-    def __post_init__(self):
-        if self.arrivals < 0:
-            raise InvalidConfigError("arrivals must be >= 0")
-        if self.arrivals > MAX_ARRIVALS:
-            raise InvalidConfigError(f"arrivals must be <= {MAX_ARRIVALS}")
-        if self.arrival_rate <= 0:
-            raise InvalidConfigError("arrival rate must be > 0")
-        if self.mean_holding <= 0:
-            raise InvalidConfigError("mean holding time must be > 0")
-        if (self.arrivals * MAX_DRAW / self.arrival_rate
-                + MAX_DRAW * self.mean_holding > MAX_EVENT_TIME):
-            raise InvalidConfigError(
-                f"arrivals / arrival_rate + mean_holding must be at most about "
-                f"{MAX_EVENT_TIME / MAX_DRAW:.4g}, or event times overflow")
-        least = HOLDING_ULPS * math.ulp(self.arrivals * MAX_DRAW / self.arrival_rate)
-        if self.mean_holding < least:
-            raise InvalidConfigError(
-                f"mean holding time must be >= {least!r}, {HOLDING_ULPS} times the "
-                "spacing of doubles at the latest arrival time")
-        if not self.pairs:
-            raise InvalidConfigError("traffic needs at least one node pair")
-        for src, dst, weight in self.pairs:
-            if src == dst or weight <= 0:
-                raise InvalidConfigError(f"bad traffic pair ({src}, {dst}, {weight})")
-        if not self.rates or any(w <= 0 or r <= 0 for r, w in self.rates):
-            raise InvalidConfigError("rates need positive gbps and weights")
-        # _pick scales a draw by the total; an infinite one picks the last.
-        for name, weights in (("pair", [w for _, _, w in self.pairs]),
-                              ("rate", [w for _, w in self.rates])):
-            if not math.isfinite(_cumulative(weights)[-1]):
-                raise InvalidConfigError(f"{name} weights must have a finite total")
-
-
-def generate_traffic(config: TrafficConfig, seed: int) -> list:
-    """Synthesize ARRIVAL events with exponential inter-arrival/holding times.
-
-    Four draws per arrival from numpy's PCG64 stream for ``seed`` (see
-    ``pcg64``), in fixed order: inter-arrival, node pair, rate, holding
-    time.  Exponentials come from the inverse CDF (-ln(1-u) / rate), so
-    scaling the arrival rate rescales arrival times exactly while leaving
-    the rest of the stream untouched.
-    """
-    pairs, rates = config.pairs, config.rates
-    pair_cum = _cumulative([w for _, _, w in pairs])
-    rate_cum = _cumulative([w for _, w in rates])
-    arrival_rate, mean_holding = config.arrival_rate, config.mean_holding
-    log1p, pick, arrival = math.log1p, _pick, EventKind.ARRIVAL
-    draws = iter(random_doubles(seed, 4 * config.arrivals))
-
-    events = []
-    append = events.append
-    now = 0.0
-    seq = 0
-    for u_gap, u_pair, u_rate, u_hold in zip(draws, draws, draws, draws):
-        now += -log1p(-u_gap) / arrival_rate
-        src, dst, _ = pairs[pick(pair_cum, u_pair)]
-        intent = ConnectivityIntent(src, dst, rates[pick(rate_cum, u_rate)][0])
-        append(Event(now, seq, arrival, intent, -log1p(-u_hold) * mean_holding))
-        seq += 1
-    return events
-
-
-def _cumulative(weights):
-    total = 0.0
-    out = []
-    for w in weights:
-        total += w
-        out.append(total)
-    return out
-
-
-def _pick(cumulative, u: float) -> int:
-    """First index whose edge exceeds u * total, else the last index."""
-    i = bisect_right(cumulative, u * cumulative[-1])
-    return i if i < len(cumulative) else i - 1
 
 
 # -- monitoring ----------------------------------------------------------------
@@ -395,10 +282,8 @@ class Simulation:
         reason = result.reason.value if result.reason else ""
 
         installed = False
-        if (
-            result.outcome is CompileOutcome.COMPILED
-            and ctrl.dag.aggregate_state(iid) is IntentState.COMPILED
-        ):
+        # A blocked compile leaves the root an uncompiled leaf.
+        if ctrl.dag.aggregate_state(iid) is IntentState.COMPILED:
             record.compile_time = self.now
             # A verdict that is not installed has rolled its level back.
             if ctrl.install(iid) is InstallOutcome.PENDING:
@@ -431,7 +316,7 @@ class Simulation:
                 "dst": str(intent.dst),
                 "rate": intent.rate,
                 "outcome": record.outcome,
-                "reason": reason if not installed else "",
+                "reason": reason,
             }
         )
 

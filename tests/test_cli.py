@@ -13,8 +13,14 @@ from hypothesis import strategies as st
 from ibnsim import cli
 from ibnsim.cli import main
 from ibnsim.export import export_dag, export_topology
-from ibnsim.scenario import MAX_DOMAIN_ID, MAX_TRAFFIC_PAIRS, parse_scenario
-from ibnsim.simulation import HOLDING_ULPS, MAX_DRAW, Simulation
+from ibnsim.scenario import (
+    HOLDING_ULPS,
+    MAX_DOMAIN_ID,
+    MAX_DRAW,
+    MAX_TRAFFIC_PAIRS,
+    parse_scenario,
+)
+from ibnsim.simulation import Simulation
 
 from .test_scenario import two_domain_doc
 

@@ -19,3 +19,19 @@ def test_demo_exits_zero(demo):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_use_runs():
+    # The "Library use" block of README.md, run as written from the repo root.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    ratio, state = done.stdout.splitlines()
+    assert 0 <= float(ratio) <= 1
+    assert state == "IntentState.INSTALLED"

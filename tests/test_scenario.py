@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ibnsim.cli import main
 from ibnsim.compilation import BlockReason
 from ibnsim.errors import ScenarioError, ScenarioParseError, ScenarioValidationError
 from ibnsim.export import export_topology
 from ibnsim.intents import ConnectivityIntent, IntentNode, RemoteIntent
 from ibnsim.multidomain import Delegate
 from ibnsim.network import DEFAULT_MODE_TABLE, NodeId
-from ibnsim.scenario import _parse_node_ref, _require, parse_scenario
+from ibnsim.scenario import TrafficConfig, _parse_node_ref, _require, parse_scenario
 from ibnsim.simulation import Simulation
 
 from .builders import scenario_text
@@ -324,6 +325,84 @@ class TestInputBoundary:
     def test_out_of_range_values_are_validation_errors(self, doc):
         with pytest.raises(ScenarioValidationError):
             parse_scenario(doc)
+
+
+    def test_first_offending_event_in_file_order_is_reported(self):
+        arrival = events_doc()["events"][0]
+        cases = [
+            ([{**arrival, "time": 1.0}, {**arrival, "time": 0.5},
+              {k: v for k, v in arrival.items() if k != "rate"}],
+             "explicit events must be time-ordered"),
+            ([{"time": 0.0, "kind": "link_down", "a": [1, 1], "b": [1, 2]},
+              {"time": 1.0, "kind": "link_down", "a": [1, 2], "b": [1, 1]},
+              {**arrival, "time": 0.5}],
+             "link_down at time 1.0: fiber 1.2-1.1 already down"),
+        ]
+        for events, problem in cases:
+            with pytest.raises(ScenarioValidationError) as refused:
+                parse_scenario({**MINIMAL, "events": events})
+            assert str(refused.value) == problem
+
+
+# Every rule of TrafficConfig: the fields that break it, on top of
+# TRAFFIC_BASE, and the one line that refuses them.
+TRAFFIC_BASE = {"arrivals": 10, "arrival_rate": 1.0, "mean_holding": 5.0,
+                "pairs": ((NodeId(1, 1), NodeId(1, 2), 1.0),), "rates": ((100, 1.0),)}
+TIME_BOUND = ("traffic: arrivals / arrival_rate + mean_holding must be at most about "
+              "2.447e+306, or event times overflow")
+RATES_RULE = "traffic: rates need positive gbps and weights"
+TRAFFIC_RULES = {
+    "arrivals-negative": ({"arrivals": -1}, "traffic: arrivals must be >= 0"),
+    "arrivals-past-bound": ({"arrivals": 100_001}, "traffic: arrivals must be <= 100000"),
+    "arrival-rate-zero": ({"arrival_rate": 0.0}, "traffic: arrival rate must be > 0"),
+    "arrival-rate-negative": ({"arrival_rate": -1.0}, "traffic: arrival rate must be > 0"),
+    "mean-holding-zero": ({"mean_holding": 0.0}, "traffic: mean holding time must be > 0"),
+    "mean-holding-negative": ({"mean_holding": -1.0},
+                              "traffic: mean holding time must be > 0"),
+    "mean-holding-overflows": ({"mean_holding": 1e308}, TIME_BOUND),
+    "mean-holding-past-bound": ({"arrivals": 50, "mean_holding": 2.45e306}, TIME_BOUND),
+    "arrival-rate-underflows": ({"arrival_rate": 1e-307}, TIME_BOUND),
+    # The one arrival can come at 3.7e19, where doubles are 4096 apart.
+    "holding-vanishes": ({"arrivals": 1, "arrival_rate": 1e-18, "mean_holding": 1.0},
+                         "traffic: mean holding time must be >= 4294967296.0, 1048576 "
+                         "times the spacing of doubles at the latest arrival time"),
+    "no-pairs": ({"pairs": ()}, "traffic: traffic needs at least one node pair"),
+    "loop-pair": ({"pairs": ((NodeId(1, 1), NodeId(1, 1), 1.0),)},
+                  "traffic: pair 1.1->1.1 is a loop"),
+    "pair-weight-zero": ({"pairs": ((NodeId(1, 1), NodeId(1, 2), 0.0),)},
+                         "traffic: pair 1.1->1.2 needs a positive weight"),
+    "pair-weight-negative": ({"pairs": ((NodeId(1, 2), NodeId(1, 1), -1.0),)},
+                             "traffic: pair 1.2->1.1 needs a positive weight"),
+    "no-rates": ({"rates": ()}, RATES_RULE),
+    "rate-gbps-zero": ({"rates": ((0, 1.0),)}, RATES_RULE),
+    "rate-gbps-negative": ({"rates": ((-100, 1.0),)}, RATES_RULE),
+    "rate-weight-zero": ({"rates": ((100, 0.0),)}, RATES_RULE),
+    "pair-weights-infinite-total": (
+        {"pairs": ((NodeId(1, 1), NodeId(1, 2), 1e308), (NodeId(1, 2), NodeId(1, 1), 1e308))},
+        "traffic: pair weights must have a finite total"),
+    # Each weight is finite, but u * inf would make _pick always choose 400.
+    "rate-weights-infinite-total": ({"rates": ((100, 1e308), (400, 1e308))},
+                                    "traffic: rate weights must have a finite total"),
+}
+
+
+@pytest.mark.parametrize("fields, problem", TRAFFIC_RULES.values(), ids=TRAFFIC_RULES)
+def test_traffic_config_refuses_with_one_line(fields, problem):
+    with pytest.raises(ScenarioValidationError) as refused:
+        TrafficConfig(**{**TRAFFIC_BASE, **fields})
+    assert str(refused.value) == problem
+
+
+@pytest.mark.parametrize("fields, problem", TRAFFIC_RULES.values(), ids=TRAFFIC_RULES)
+def test_validate_refuses_traffic_with_one_line(tmp_path, capsys, fields, problem):
+    traffic = {**TRAFFIC_BASE, **fields}
+    traffic["pairs"] = [{"src": list(src), "dst": list(dst), "weight": weight}
+                        for src, dst, weight in traffic["pairs"]]
+    traffic["rates"] = [{"gbps": gbps, "weight": weight} for gbps, weight in traffic["rates"]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**MINIMAL, "traffic": traffic}))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"ibnsim: {path}: {problem}\n")
 
 
 JSON_VALUES = st.recursive(

@@ -6,22 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibnsim.compilation import InstallOutcome, compile_connectivity, install_intent
-from ibnsim.errors import InvalidConfigError, LinkStateError, UnknownLinkError
+from ibnsim.errors import LinkStateError, UnknownLinkError
 from ibnsim.intents import ConnectivityIntent, IntentState, LightpathIntent
 from ibnsim.network import NodeId
-from ibnsim.scenario import parse_scenario
-from ibnsim.simulation import (
+from ibnsim.scenario import (
     MAX_DRAW,
     MAX_EVENT_TIME,
+    TrafficConfig,
+    _cumulative,
+    _pick,
+    generate_traffic,
+    parse_scenario,
+)
+from ibnsim.simulation import (
     POLICY_NONE,
     Event,
     EventKind,
     Simulation,
-    TrafficConfig,
     _attempt_recovery,
-    _cumulative,
-    _pick,
-    generate_traffic,
     monitor_failure,
     monitor_repair,
 )
@@ -81,33 +83,13 @@ class TestGenerateTraffic:
             assert fast_ev.holding == slow_ev.holding
             assert fast_ev.intent == slow_ev.intent
 
-    def test_invalid_config(self):
-        with pytest.raises(InvalidConfigError):
-            generate_traffic(TrafficConfig(10, 0.0, 5.0, PAIRS), 1)
-        with pytest.raises(InvalidConfigError):
-            generate_traffic(TrafficConfig(10, 1.0, -1.0, PAIRS), 1)
-        with pytest.raises(InvalidConfigError):
-            generate_traffic(TrafficConfig(10, 1.0, 5.0, ()), 1)
-
     def test_event_times_must_stay_finite(self):
         # A draw u < 1 gives at most MAX_DRAW times the mean gap or holding,
-        # so the last departure stays below MAX_EVENT_TIME.
+        # so the last departure stays below MAX_EVENT_TIME.  The refusals
+        # are rows of tests/test_scenario.py::TRAFFIC_RULES.
         assert -math.log1p(-(1 - 2**-53)) == MAX_DRAW
         assert 50 * MAX_DRAW + 2.4e306 * MAX_DRAW < MAX_EVENT_TIME
         TrafficConfig(50, 1.0, 2.4e306, PAIRS)
-        for rate, holding in ((1.0, 1e308), (1e-307, 1.0), (1.0, 2.45e306)):
-            with pytest.raises(InvalidConfigError, match="or event times overflow"):
-                TrafficConfig(50, rate, holding, PAIRS)
-
-    def test_pair_weights_need_a_finite_total(self):
-        pairs = ((N(1, 1), N(1, 2), 1e308), (N(1, 2), N(1, 1), 1e308))
-        with pytest.raises(InvalidConfigError, match="pair weights must have a finite total"):
-            TrafficConfig(10, 1.0, 5.0, pairs)
-
-    def test_rate_weights_need_a_finite_total(self):
-        # Each weight is finite, but u * inf would make _pick always choose 400.
-        with pytest.raises(InvalidConfigError, match="rate weights must have a finite total"):
-            TrafficConfig(10, 1.0, 5.0, PAIRS, rates=((100, 1e308), (400, 1e308)))
 
 
 # -- run ------------------------------------------------------------------------
