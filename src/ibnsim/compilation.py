@@ -249,18 +249,27 @@ def uninstall_intent(domain, iid) -> None:
     keeps its reservations until explicitly uninstalled); those leaves return
     to compiled.  Delegated leaves are left to the controller.
     """
-    dag = domain.dag
-    holding = [
-        leaf for leaf in dag.leaves_under(iid)
-        if dag.nodes[leaf].state in HOLDING_STATES
-        and not isinstance(dag.nodes[leaf].payload, RemoteIntent)
-    ]
+    release_leaves(domain, iid, domain.dag.walk(iid))
+
+
+def release_leaves(domain, iid, walk) -> list:
+    """``uninstall_intent`` over the subtree ``walk`` of ``IntentDAG.walk``;
+    returns its delegated leaves as (id, node) pairs, for the controller."""
+    holding, mirrors = [], []
+    for leaf, node in walk:
+        if node.children:
+            continue
+        if isinstance(node.payload, RemoteIntent):
+            mirrors.append((leaf, node))
+        elif node.state in HOLDING_STATES:
+            holding.append((leaf, node))
     if not holding:
-        agg = dag.aggregate_state(iid)
+        agg = domain.dag.aggregate_state(iid)
         raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
-    for leaf in holding:
-        _release(domain.graph, leaf, dag.nodes[leaf].payload)
-        dag.transition(leaf, IntentState.COMPILED)
+    for leaf, node in holding:
+        _release(domain.graph, leaf, node.payload)
+        domain.dag.transition(leaf, IntentState.COMPILED)
+    return mirrors
 
 
 # Imported last: multidomain imports this module's names, and

@@ -186,7 +186,7 @@ class IntentDAG:
     DAG.  Parent -> child edges connect logical intents to the low-level
     intents implementing them; every intent has at most one parent.
     ``failed`` indexes the ids whose stored state is FAILED: ``transition``
-    is its only writer and ``remove_intent`` drops removed ids, so every
+    is its only writer and ``drop`` drops removed ids, so every
     root whose aggregate is FAILED has an indexed leaf below it.
     """
 
@@ -227,11 +227,14 @@ class IntentDAG:
             iid, parent = parent, self.nodes[parent].parent
         return iid
 
-    def subtree(self, iid: IntentId) -> list:
-        """``iid`` and every intent below it, parents before children."""
-        out = [iid]
-        for node in out:
-            out += self.nodes[node].children
+    def walk(self, iid: IntentId) -> list:
+        """(id, node) of ``iid`` and of every intent below it, parents before
+        children; the one traversal that tearing an intent down needs."""
+        nodes = self.nodes
+        out = [(iid, nodes[iid])]
+        for _, node in out:
+            for kid in node.children:
+                out.append((kid, nodes[kid]))
         return out
 
     def leaves_under(self, iid: IntentId) -> list:
@@ -299,16 +302,33 @@ class IntentDAG:
         Refuses while the subtree is installed or failed; returns the set of
         removed identifiers.
         """
-        agg = self.aggregate_state(iid)
+        walk = self.walk(iid)
+        self.drop(walk)
+        return {node for node, _ in walk}
+
+    def drop(self, walk: list) -> None:
+        """Remove the subtree that ``walk`` returned.  Refuses, with no
+        effect, while the subtree is installed or failed."""
+        iid, top = walk[0]
+        agg = walk_state(walk)
         if agg in HOLDING_STATES:
             raise StillInstalledError(
                 f"intent {iid} is {agg.value}; uninstall before removing"
             )
-        removed = self.subtree(iid)
-        parent = self.nodes[iid].parent
-        if parent is not None:
-            self.nodes[parent].children.remove(iid)
-        for node in removed:
-            del self.nodes[node]
-        self.failed.difference_update(removed)
-        return set(removed)
+        nodes = self.nodes
+        if top.parent is not None:
+            nodes[top.parent].children.remove(iid)
+        for node, _ in walk:
+            del nodes[node]
+        if self.failed:
+            self.failed.difference_update(node for node, _ in walk)
+
+
+def walk_state(walk: list) -> IntentState:
+    """Aggregate state of the subtree ``walk`` of ``IntentDAG.walk``: the
+    lowest-ranked state among its leaves, as ``aggregate_state`` derives it."""
+    rank = len(_AGGREGATE_ORDER) - 1
+    for _, node in walk:
+        if not node.children and node.state.rank < rank:
+            rank = node.state.rank
+    return _AGGREGATE_ORDER[rank]

@@ -24,7 +24,7 @@ from .compilation import (
     blocked,
     compile_connectivity,
     install_intent,
-    uninstall_intent,
+    release_leaves,
 )
 from .errors import UnknownRemoteError
 from .intents import (
@@ -35,6 +35,7 @@ from .intents import (
     IntentState,
     RemoteIntent,
     RouterPortIntent,
+    walk_state,
 )
 from .network import DEFAULT_MODE_TABLE, FiberLink, NetworkGraph, NodeId, OxcView, RouterView
 
@@ -206,25 +207,47 @@ class DomainController:
 
         A failed piece keeps its reservations until it is uninstalled.
         """
-        uninstall_intent(self, iid)
-        for child, mirror in self.mirrors(iid):
-            if child == skip:
-                continue
-            self.pending_installs.discard(child)
-            if self.dag.state(child) in HOLDING_STATES:
-                self.send(mirror.neighbor, Uninstall(mirror.remote_id))
+        self._release(iid, self.dag.walk(iid), skip)
 
     def remove(self, iid: IntentId) -> None:
         """Remove an intent subtree and withdraw its delegated parts; a refusal has no effect."""
-        nodes = self.dag.nodes
-        mirrors = [(node, nodes[node].payload) for node in self.dag.subtree(iid)
-                   if isinstance(nodes[node].payload, RemoteIntent)]
-        self.dag.remove_intent(iid)
-        for node, payload in sorted(mirrors):
-            if payload.remote_id is not None:
+        self._drop(iid, self.dag.walk(iid))
+
+    def withdraw(self, iid: IntentId) -> bool:
+        """Tear an intent down in one walk of its subtree: ``uninstall`` it
+        if its aggregate holds resources, then ``remove`` it.
+
+        Returns True, removing nothing, when a neighbor was asked to release
+        a piece: deliver messages to quiescence, then call ``remove``.
+        """
+        walk = self.dag.walk(iid)
+        if walk_state(walk) in HOLDING_STATES and self._release(iid, walk):
+            return True
+        self._drop(iid, walk)
+        return False
+
+    def _release(self, iid, walk, skip=None) -> bool:
+        """``uninstall`` over the subtree ``walk``; returns whether a
+        neighbor was asked to release a piece."""
+        asked = False
+        for mirror, node in release_leaves(self, iid, walk):
+            if mirror == skip:
+                continue
+            self.pending_installs.discard(mirror)
+            if node.state in HOLDING_STATES:
+                self.send(node.payload.neighbor, Uninstall(node.payload.remote_id))
+                asked = True
+        return asked
+
+    def _drop(self, iid, walk) -> None:
+        """``remove`` of the subtree ``walk``."""
+        self.dag.drop(walk)
+        for removed, node in walk:
+            payload = node.payload
+            if isinstance(payload, RemoteIntent) and payload.remote_id is not None:
                 self.send(payload.neighbor, Remove(payload.remote_id))
                 self.mirror_index.pop(payload.remote_id, None)
-                self.pending_installs.discard(node)
+                self.pending_installs.discard(removed)
         # Delegated intents are roots, so no other removed id is a key here.
         self.origins.pop(iid, None)
         self.last_notified.pop(iid, None)

@@ -83,7 +83,7 @@ class TrafficConfig:
                 f"traffic: mean holding time must be >= {least!r}, {HOLDING_ULPS} times "
                 "the spacing of doubles at the latest arrival time")
         if not self.pairs:
-            raise ScenarioValidationError("traffic: traffic needs at least one node pair")
+            raise ScenarioValidationError("traffic: needs at least one node pair")
         for src, dst, weight in self.pairs:
             if src == dst:
                 raise ScenarioValidationError(f"traffic: pair {src}->{dst} is a loop")

@@ -22,7 +22,7 @@ from .compilation import (
     uninstall_intent,
 )
 from .errors import ConservationError, UnknownLinkError
-from .intents import HOLDING_STATES, ConnectivityIntent, IntentId, IntentState, RemoteIntent
+from .intents import ConnectivityIntent, IntentId, IntentState, RemoteIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
 
@@ -324,10 +324,9 @@ class Simulation:
         iid = event.intent_id
         ctrl = self.domains[iid.domain]
         agg = ctrl.dag.aggregate_state(iid)
-        if agg in HOLDING_STATES:
-            ctrl.uninstall(iid)
+        if ctrl.withdraw(iid):
             self._deliver()
-        ctrl.remove(iid)
+            ctrl.remove(iid)
         self.event_log.append(
             {
                 "time": self.now,

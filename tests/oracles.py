@@ -364,13 +364,28 @@ def failed_index_mismatches(ctrl):
 
 def notification_mismatches(ctrl):
     """Delegated intents whose last state sent to the delegator is not their
-    aggregate state: between events, every change must have been sent."""
+    aggregate state: between events, every change must have been sent.  Also
+    every coordination entry that outlived its intent: a ``last_notified``
+    key, a ``mirror_index`` value or a ``pending_installs`` member that is
+    not a live node of the right kind."""
+    from ibnsim.intents import RemoteIntent
+
     problems = []
+    nodes = ctrl.dag.nodes
     for iid in sorted(ctrl.origins):
-        if iid not in ctrl.dag.nodes:
+        if iid not in nodes:
             problems.append(f"delegated {iid} is not in the DAG")
         elif ctrl.last_notified.get(iid) is not ctrl.dag.aggregate_state(iid):
             problems.append(f"delegator of {iid} last heard {ctrl.last_notified.get(iid)}")
+    problems += [f"last_notified holds removed {iid}"
+                 for iid in sorted(ctrl.last_notified) if iid not in nodes]
+    for remote, mirror in sorted(ctrl.mirror_index.items()):
+        payload = nodes[mirror].payload if mirror in nodes else None
+        if not isinstance(payload, RemoteIntent) or payload.remote_id != remote:
+            problems.append(f"mirror_index maps {remote} to {mirror}, not its live mirror")
+    problems += [f"pending install {iid} is not a live mirror"
+                 for iid in sorted(ctrl.pending_installs)
+                 if iid not in nodes or not isinstance(nodes[iid].payload, RemoteIntent)]
     return problems
 
 

@@ -365,8 +365,8 @@ def test_event_times_just_inside_the_bound_run(tmp_path, inside):
         assert main(["validate", str(path)]) == 0
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert_finite_artifacts(tmp_path / "out")
-    times = [json.loads(line)["time"] for line in (tmp_path / "out" / "events.log").open()
-             if '"departure"' in line]
+    lines = (tmp_path / "out" / "events.log").read_text().splitlines()
+    times = [json.loads(line)["time"] for line in lines if '"departure"' in line]
     assert max(times) > 1e306
 
 

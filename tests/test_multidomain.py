@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from ibnsim import multidomain
-from ibnsim.compilation import BlockReason, CompileOutcome, InstallOutcome
+from ibnsim.compilation import BlockReason, CompileOutcome, InstallOutcome, uninstall_intent
 from ibnsim.errors import (
     LinkStateError,
     StillInstalledError,
@@ -26,7 +26,7 @@ from ibnsim.multidomain import (
 )
 from ibnsim.network import NodeId
 from ibnsim.scenario import parse_scenario
-from ibnsim.simulation import Simulation, monitor_failure, monitor_repair
+from ibnsim.simulation import POLICY_NONE, Simulation, monitor_failure, monitor_repair
 
 from .builders import make_domain, make_domains, reserve, snapshot
 from .oracles import (
@@ -417,6 +417,81 @@ class TestTeardown:
         for ctrl in domains.values():
             link = ctrl.graph.link_between(*border)
             assert free_slots(link, ctrl.graph.slot_count) == set(range(1, 9))
+
+
+def installed_local_intent(domains):
+    d1 = domains[1]
+    iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(1, 3), 100))
+    d1.compile(iid)
+    assert d1.install(iid) is InstallOutcome.INSTALLED
+    return iid
+
+
+class TestWithdraw:
+    def test_failed_local_root_releases_its_failed_leaves(self):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = installed_local_intent(domains)
+        monitor_failure(domains, NodeId(1, 1), NodeId(1, 2), policy=POLICY_NONE)
+        assert d1.dag.aggregate_state(iid) is IntentState.FAILED
+        assert d1.dag.failed
+        assert d1.withdraw(iid) is False
+        assert not d1.dag.nodes and not d1.dag.failed
+        assert d1.graph.reserved_cells == 0
+        assert all(not router.port_holders for router in d1.graph.routers.values())
+        assert all(not oxc.add_drop_holders for oxc in d1.graph.oxcs.values())
+        assert not d1.outbox
+
+    def test_crossdomain_root_asks_its_neighbor_and_keeps_its_nodes(self):
+        domains = two_domains()
+        d1, d2 = domains[1], domains[2]
+        iid = installed_crossdomain_intent(domains)
+        nodes = set(d1.dag.nodes)
+        assert d1.withdraw(iid) is True
+        assert [(m.receiver, m.kind()) for m in d1.outbox] == [(2, "uninstall")]
+        assert set(d1.dag.nodes) == nodes
+        assert d1.graph.reserved_cells == 0
+        deliver_messages(domains)
+        assert d2.graph.reserved_cells == 0
+        assert d1.dag.aggregate_state(iid) is C
+        d1.remove(iid)
+        assert [m.kind() for m in deliver_messages(domains)] == ["remove"]
+        for ctrl in domains.values():
+            assert not ctrl.dag.nodes and not ctrl.origins and not ctrl.mirror_index
+
+    def test_root_whose_mirror_holds_nothing_is_removed_at_once(self):
+        domains = two_domains()
+        d1, d2 = domains[1], domains[2]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(2, 5), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is C
+        assert d1.withdraw(iid) is False
+        assert not d1.dag.nodes and not d1.mirror_index
+        assert [(m.receiver, m.kind()) for m in d1.outbox] == [(2, "remove")]
+        deliver_messages(domains)
+        assert not d2.dag.nodes and not d2.origins
+
+    def test_remove_refuses_an_installed_intent_with_no_effect(self):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = installed_local_intent(domains)
+        before = (snapshot(d1), set(d1.dag.nodes), set(d1.dag.failed))
+        with pytest.raises(StillInstalledError, match=f"intent {iid} is installed"):
+            d1.remove(iid)
+        assert (snapshot(d1), set(d1.dag.nodes), set(d1.dag.failed)) == before
+        assert not d1.outbox
+
+    def test_uninstall_intent_refuses_when_no_local_leaf_holds(self):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(1, 3), 100))
+        d1.compile(iid)
+        before = (snapshot(d1), {n: node.state for n, node in d1.dag.nodes.items()})
+        with pytest.raises(WrongStateError,
+                           match=f"intent {iid} is compiled, expected installed/failed"):
+            uninstall_intent(d1, iid)
+        assert (snapshot(d1), {n: node.state for n, node in d1.dag.nodes.items()}) == before
 
 
 @pytest.mark.xfail(

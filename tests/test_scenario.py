@@ -366,7 +366,7 @@ TRAFFIC_RULES = {
     "holding-vanishes": ({"arrivals": 1, "arrival_rate": 1e-18, "mean_holding": 1.0},
                          "traffic: mean holding time must be >= 4294967296.0, 1048576 "
                          "times the spacing of doubles at the latest arrival time"),
-    "no-pairs": ({"pairs": ()}, "traffic: traffic needs at least one node pair"),
+    "no-pairs": ({"pairs": ()}, "traffic: needs at least one node pair"),
     "loop-pair": ({"pairs": ((NodeId(1, 1), NodeId(1, 1), 1.0),)},
                   "traffic: pair 1.1->1.1 is a loop"),
     "pair-weight-zero": ({"pairs": ((NodeId(1, 1), NodeId(1, 2), 0.0),)},

@@ -29,7 +29,7 @@ from ibnsim.simulation import (
 )
 
 from .builders import chain, make_domain, reserve, scenario_text, snapshot
-from .oracles import audit_resources, mutables
+from .oracles import audit_resources, mutables, notification_mismatches
 
 N = NodeId
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -277,15 +277,19 @@ class TestRun:
         # Simulation._deliver skips the delivery round when every outbox is
         # empty, which is sound only if no event ends with a message queued
         # or an install still waiting for its verdict.
-        unsettled = []
+        # No coordination entry may outlive its intent either.
+        unsettled, stale = [], []
 
         def audit(sim, event):
             unsettled.extend((event.seq, ctrl.id, list(ctrl.outbox), sorted(ctrl.pending_installs))
                              for ctrl in sim.domains.values()
                              if ctrl.outbox or ctrl.pending_installs)
+            stale.extend((event.seq, ctrl.id, problem) for ctrl in sim.domains.values()
+                         for problem in notification_mismatches(ctrl))
 
         result = Simulation(parse_scenario(scenario_text(name)), on_event=audit).run()
         assert unsettled == []
+        assert stale == []
         assert any(entry["event"] == "message" for entry in result.event_log)
 
     @pytest.mark.parametrize("name", ["reference.json", "domain_ring.json", "churn-4"])
@@ -309,10 +313,15 @@ class TestRun:
         assert len(departures) == len(arrived) > 0
 
     def test_reference_run_ends_with_empty_dags(self):
-        scenario = parse_scenario((SCENARIOS / "reference.json").read_text())
-        result = Simulation(scenario).run()
-        assert result.metrics.blocked > 0
-        assert all(not ctrl.dag.nodes for ctrl in result.domains.values())
+        # Every departure and blocked arrival leaves nothing behind: no DAG
+        # node, no failed index entry and no coordination entry.
+        for name in ("reference.json", "domain_ring.json", "churn-4"):
+            result = Simulation(parse_scenario(scenario_text(name))).run()
+            assert result.metrics.blocked > 0, name
+            for ctrl in result.domains.values():
+                left = (ctrl.dag.nodes, ctrl.dag.failed, ctrl.origins, ctrl.last_notified,
+                        ctrl.mirror_index, ctrl.pending_installs)
+                assert not any(left), (name, ctrl.id, left)
 
 
 def dag_nodes(sim):
