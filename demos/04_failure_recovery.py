@@ -51,9 +51,9 @@ def trace(policy):
             return
         root = roots[0]
         paths = [
-            "-".join(str(n) for n in ctrl.dag.payload(leaf).path)
-            for leaf in ctrl.dag.leaves_under(root)
-            if isinstance(ctrl.dag.payload(leaf), LightpathIntent)
+            "-".join(str(n) for n in node.payload.path)
+            for _, node in ctrl.dag.walk(root)
+            if isinstance(node.payload, LightpathIntent)
         ]
         print(f"  t={event.time:>5.1f} {event.kind.value:<9} "
               f"intent={ctrl.dag.aggregate_state(root).value:<9} paths={paths}")

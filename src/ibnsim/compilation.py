@@ -20,6 +20,7 @@ from .intents import (
     LightpathIntent,
     RemoteIntent,
     RouterPortIntent,
+    walk_state,
 )
 from .network import NetworkGraph, TransmissionMode
 
@@ -205,21 +206,24 @@ def install_intent(domain, iid) -> InstallOutcome:
     bit-identical to the pre-call state.
     """
     dag = domain.dag
-    agg = dag.aggregate_state(iid)
+    walk = dag.walk(iid)
+    agg = walk_state(walk)
     if agg is not IntentState.COMPILED:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected compiled")
 
     graph = domain.graph
-    # Book leaf by leaf; a conflict releases what this call booked.
+    # Book leaf by leaf, in walk order; a conflict releases what this call booked.
     booked = []
     outcome = InstallOutcome.INSTALLED
     try:
-        for leaf in dag.leaves_under(iid):
-            payload = dag.nodes[leaf].payload
+        for leaf, node in walk:
+            if node.children:
+                continue
+            payload = node.payload
             if isinstance(payload, RemoteIntent):
                 outcome = InstallOutcome.PENDING
                 continue
-            if dag.nodes[leaf].state is not IntentState.COMPILED:
+            if node.state is not IntentState.COMPILED:
                 continue
             if isinstance(payload, RouterPortIntent):
                 graph.reserve_port(payload.node, leaf, payload.rate)

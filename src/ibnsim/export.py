@@ -86,16 +86,14 @@ def export_topology(domains: dict) -> dict:
         for iid in sorted(ctrl.dag.roots()):
             if ctrl.dag.aggregate_state(iid) is not IntentState.INSTALLED:
                 continue
-            overlays = []
-            for leaf in ctrl.dag.leaves_under(iid):
-                payload = ctrl.dag.payload(leaf)
-                if isinstance(payload, LightpathIntent):
-                    overlays.append(
-                        {
-                            "path": [str(n) for n in payload.path],
-                            "slots": list(payload.slot_range),
-                        }
-                    )
+            overlays = [
+                {
+                    "path": [str(n) for n in node.payload.path],
+                    "slots": list(node.payload.slot_range),
+                }
+                for _, node in ctrl.dag.walk(iid)
+                if isinstance(node.payload, LightpathIntent)
+            ]
             doc["intents"].append(
                 {
                     "domain": did,

@@ -229,26 +229,13 @@ class IntentDAG:
 
     def walk(self, iid: IntentId) -> list:
         """(id, node) of ``iid`` and of every intent below it, parents before
-        children; the one traversal that tearing an intent down needs."""
+        children, siblings left to right; the one traversal of a subtree."""
         nodes = self.nodes
         out = [(iid, nodes[iid])]
         for _, node in out:
             for kid in node.children:
                 out.append((kid, nodes[kid]))
         return out
-
-    def leaves_under(self, iid: IntentId) -> list:
-        """Leaf intents of the subtree rooted at ``iid`` (may be iid itself),
-        left to right."""
-        leaves, stack = [], [iid]
-        while stack:
-            top = stack.pop()
-            kids = self.nodes[top].children
-            if kids:
-                stack += reversed(kids)
-            else:
-                leaves.append(top)
-        return leaves
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -176,15 +176,6 @@ class DomainController:
     def compile(self, iid: IntentId) -> CompilationResult:
         return compile_connectivity(self, iid)
 
-    def mirrors(self, iid: IntentId) -> list:
-        """(node, RemoteIntent) of every delegated child of ``iid``."""
-        nodes = self.dag.nodes
-        return [
-            (child, nodes[child].payload)
-            for child in nodes[iid].children
-            if isinstance(nodes[child].payload, RemoteIntent)
-        ]
-
     def install(self, iid: IntentId) -> InstallOutcome:
         """Book the local leaves, then ask each neighbor to install its piece.
 
@@ -194,20 +185,24 @@ class DomainController:
         """
         outcome = install_intent(self, iid)
         if outcome is InstallOutcome.PENDING:
-            for child, mirror in self.mirrors(iid):
+            nodes = self.dag.nodes
+            for child in nodes[iid].children:
+                mirror = nodes[child].payload
+                if not isinstance(mirror, RemoteIntent):
+                    continue
                 if mirror.remote_id is None:
                     raise UnknownRemoteError(f"mirror {child} was never acknowledged")
                 self.pending_installs.add(child)
                 self.send(mirror.neighbor, InstallRequest(mirror.remote_id))
         return outcome
 
-    def uninstall(self, iid: IntentId, skip: Optional[IntentId] = None) -> None:
-        """Release the local leaves and ask every neighbor holding a piece,
-        other than the mirror ``skip``, to release it; drops pending verdicts.
+    def uninstall(self, iid: IntentId) -> None:
+        """Release the local leaves and ask every neighbor holding a piece to
+        release it; drops pending verdicts.
 
         A failed piece keeps its reservations until it is uninstalled.
         """
-        self._release(iid, self.dag.walk(iid), skip)
+        self._release(iid, self.dag.walk(iid))
 
     def remove(self, iid: IntentId) -> None:
         """Remove an intent subtree and withdraw its delegated parts; a refusal has no effect."""
@@ -226,13 +221,11 @@ class DomainController:
         self._drop(iid, walk)
         return False
 
-    def _release(self, iid, walk, skip=None) -> bool:
+    def _release(self, iid, walk) -> bool:
         """``uninstall`` over the subtree ``walk``; returns whether a
         neighbor was asked to release a piece."""
         asked = False
         for mirror, node in release_leaves(self, iid, walk):
-            if mirror == skip:
-                continue
             self.pending_installs.discard(mirror)
             if node.state in HOLDING_STATES:
                 self.send(node.payload.neighbor, Uninstall(node.payload.remote_id))
@@ -421,9 +414,13 @@ def _handle_state_notify(domain, msg):
 
 
 def _compensate_failed_install(domain, mirror_node):
-    """A remote install failed: roll back this delegation level locally."""
+    """A remote install failed: roll back this delegation level locally.
+
+    The failed mirror is neither pending nor holding by now, so the
+    uninstall sends it nothing.
+    """
     parent = domain.dag.parent(mirror_node)
-    domain.uninstall(parent, skip=mirror_node)
+    domain.uninstall(parent)
     # Send the definitive verdict upstream even though the aggregate is
     # back to its pre-install value.
     if parent in domain.origins:

@@ -19,10 +19,10 @@ from .compilation import (
     compile_probe,
     implement,
     install_intent,
-    uninstall_intent,
+    release_leaves,
 )
 from .errors import ConservationError, UnknownLinkError
-from .intents import ConnectivityIntent, IntentId, IntentState, RemoteIntent
+from .intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent, walk_state
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
 
@@ -101,9 +101,9 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
 
     Marks the link non-operational in every domain that knows it, fails the
     installed lightpaths holding its slots (reservations persist: failure is
-    not a release), and under the auto-recompile policy tries to move each
-    affected intent onto surviving resources.  Returns the number of recovered
-    intents.
+    not a release), and under the auto-recompile policy tries to rebuild the
+    piece holding each failed lightpath, its parent, on surviving
+    resources.  Returns the number of recovered intents.
     """
     affected = []
     for ctrl, link in _set_link_state(domains, a, b, up=False):
@@ -113,35 +113,40 @@ def monitor_failure(domains: dict, a: NodeId, b: NodeId,
             if ctrl.dag.state(iid) is not IntentState.INSTALLED:
                 continue
             ctrl.dag.transition(iid, IntentState.FAILED)
-            root = ctrl.dag.root(iid)
-            if root not in failed:
-                failed.append(root)
+            piece = ctrl.dag.parent(iid)
+            if piece not in failed:
+                failed.append(piece)
         # Between events every delegator has heard the current aggregate,
-        # so only the roots failed here can have news for one.
-        for root in sorted(failed):
-            ctrl.flush_notifications(root)
-        affected += [(ctrl, root) for root in failed]
+        # so only the roots of the pieces failed here can have news for one.
+        # A piece is its root or the root's first child, so pieces sort
+        # like their roots.
+        for piece in sorted(failed):
+            ctrl.flush_notifications(piece)
+        affected += [(ctrl, piece) for piece in failed]
 
     recovered = 0
     if policy == POLICY_AUTO:
-        for ctrl, root in affected:
-            recovered += _attempt_recovery(ctrl, root)
+        for ctrl, piece in affected:
+            recovered += _attempt_recovery(ctrl, piece)
     return recovered
 
 
 def monitor_repair(domains: dict, a: NodeId, b: NodeId,
                    policy: str = POLICY_AUTO) -> int:
-    """React to a fiber coming back: every failed intent gets one recompile."""
+    """React to a fiber coming back: the piece holding each failed lightpath
+    gets one recompile.  A failed mirror is left to the domain that owns
+    the delegated intent, which recovers its own lightpath."""
     _set_link_state(domains, a, b, up=True)
     recovered = 0
     if policy == POLICY_AUTO:
         for did in sorted(domains):
             dag = domains[did].dag
-            # Only the roots of failed leaves can be failed, and no root
-            # fails during recovery.  Ids are never reused, so sorted ids
-            # follow DAG insertion order.
-            for root in sorted({dag.root(leaf) for leaf in dag.failed}):
-                recovered += _attempt_recovery(domains[did], root)
+            # No lightpath fails during recovery.  Ids are never reused, so
+            # sorted ids follow DAG insertion order.
+            pieces = {dag.parent(leaf) for leaf in dag.failed
+                      if isinstance(dag.payload(leaf), LightpathIntent)}
+            for piece in sorted(pieces):
+                recovered += _attempt_recovery(domains[did], piece)
     return recovered
 
 
@@ -157,42 +162,39 @@ def _set_link_state(domains, a, b, up: bool) -> list:
     return pairs
 
 
-def _attempt_recovery(ctrl: DomainController, root) -> int:
-    """Rebuild the failed local piece of ``root``; returns 1 when the root
-    is installed again.
+def _attempt_recovery(ctrl: DomainController, piece) -> int:
+    """Rebuild ``piece``, the parent of a failed lightpath, from one walk
+    of it; returns 1 when the piece's root is installed again.
 
-    The local piece is the root itself or, when the root has delegated
-    parts, its one child that is not a mirror; remote failures are
-    recovered by the domain that owns them.  The piece is probed once,
-    counting its own leaves as free, so an infeasible one keeps its
-    reservations and stays failed.  A feasible one is released, stripped of
-    its children, rebuilt from the probe's plan and reinstalled.  Compiling
-    it again would find the same plan: the probe counted as free exactly
-    what the release frees, and routing reads only link state.
+    The piece is the root itself or, when the root has delegated parts,
+    its local segment; its children are the leaves ``implement`` made.  It
+    is probed once, counting its own leaves as free, so an infeasible one
+    keeps its reservations and stays failed.  A feasible one is released,
+    stripped of its children, rebuilt from the probe's plan and
+    reinstalled.  Compiling it again would find the same plan: the probe
+    counted as free exactly what the release frees, and routing reads only
+    link state.
     """
     dag = ctrl.dag
-    # Precondition: both callers hand in roots of failed leaves only.
-    if dag.aggregate_state(root) is not IntentState.FAILED:
+    walk = dag.walk(piece)
+    # Precondition: both callers hand in parents of failed lightpaths only.
+    if walk_state(walk) is not IntentState.FAILED:
         return 0
-    piece = root
-    if ctrl.mirrors(root):
-        piece = next(c for c in dag.children(root)
-                     if not isinstance(dag.payload(c), RemoteIntent))
-        if dag.aggregate_state(piece) is not IntentState.FAILED:
-            return 0
-    payload = dag.payload(piece)
+    payload = walk[0][1].payload
+    leaves = walk[1:]
     plan = compile_probe(ctrl, payload.src, payload.dst, payload.rate,
-                         payload.excluded_links(), dag.leaves_under(piece))
+                         payload.excluded_links(), [leaf for leaf, _ in leaves])
     if plan is None:
         return 0
 
-    uninstall_intent(ctrl, piece)
-    for child in dag.children(piece):
-        dag.remove_intent(child)
+    release_leaves(ctrl, piece, walk)
+    for leaf in leaves:
+        dag.drop([leaf])
     implement(dag, piece, payload, plan)
     ctrl.flush_notifications(piece)
     install_intent(ctrl, piece)
     ctrl.flush_notifications(piece)
+    root = dag.root(piece)
     if dag.aggregate_state(root) is not IntentState.INSTALLED:
         return 0
     log.debug("domain %d recovered intent %s", ctrl.id, root)

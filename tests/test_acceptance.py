@@ -183,7 +183,7 @@ def test_compile_probe_agrees_with_compile_and_oracle():
         if not compiled:
             continue
         assert install_intent(ctrl, iid) is InstallOutcome.INSTALLED
-        held = ctrl.dag.leaves_under(iid)
+        held = [leaf for leaf, node in ctrl.dag.walk(iid) if not node.children]
         probe_rate = rng.choice([100, 200, 400])
         verdicts = []
         for as_free in ((), held):
@@ -298,9 +298,9 @@ def run_triangle(policy):
             root = ctrl.dag.roots()[0]
             seen["state"] = ctrl.dag.aggregate_state(root)
             seen["paths"] = [
-                ctrl.dag.payload(c).path
-                for c in ctrl.dag.leaves_under(root)
-                if isinstance(ctrl.dag.payload(c), LightpathIntent)
+                node.payload.path
+                for _, node in ctrl.dag.walk(root)
+                if isinstance(node.payload, LightpathIntent)
             ]
 
     result = Simulation(scenario, on_event=watch).run()

@@ -432,7 +432,7 @@ class TestCompileProbe:
         chain(ctrl, [100.0])
         iid = compiled_intent(ctrl, NodeId(1, 1), NodeId(1, 2))
         assert install_intent(ctrl, iid) is InstallOutcome.INSTALLED
-        held = ctrl.dag.leaves_under(iid)
+        held = [leaf for leaf, node in ctrl.dag.walk(iid) if not node.children]
         assert not compile_probe(ctrl, NodeId(1, 1), NodeId(1, 2), 100)
         assert compile_probe(ctrl, NodeId(1, 1), NodeId(1, 2), 100, as_free=held)
 

@@ -17,7 +17,9 @@ down alike: ``simulation._set_link_state`` writes each copy without looking
 at the others first.
 
 A churn run also checks that recovery rebuilds each failed piece from the
-plan its probe found, with one ``_plan`` call per attempt.
+plan its probe found, with one ``_plan`` call per attempt, and that an
+attempt walks its piece once and strips it without ``uninstall_intent`` or
+``remove_intent``.
 """
 
 import json
@@ -26,7 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from ibnsim import compilation, scenario, simulation
+import ibnsim
+from ibnsim import compilation, intents, multidomain, scenario, simulation
 from ibnsim.intents import LightpathIntent
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,10 +69,13 @@ def test_generated_run_matches_pin(workload, seed):
 def test_recovery_installs_the_plan_its_probe_found(monkeypatch):
     probe, plan = simulation.compile_probe, compilation._plan
     attempt, install = simulation._attempt_recovery, simulation.install_intent
+    walk, uninstall = intents.IntentDAG.walk, compilation.uninstall_intent
     attempts = []  # [_plan calls, probes] of each recovery attempt
     active = []  # the counts of the attempt running now
     plans = []  # what each probe returned
     rebuilt = []  # (rebuilt lightpath, the plan probed for it)
+    walks = []  # (piece, ids the attempt walked; None marks its install)
+    stripped = []  # uninstall_intent and remove_intent calls during an attempt
 
     def counted_plan(*args, **kwargs):
         if active:
@@ -81,19 +87,33 @@ def test_recovery_installs_the_plan_its_probe_found(monkeypatch):
         plans.append(probe(*args, **kwargs))
         return plans[-1]
 
+    def recorded_walk(dag, iid):
+        if active:
+            walks[-1][1].append(iid)
+        return walk(dag, iid)
+
     def recorded_install(ctrl, iid):  # in simulation, only recovery installs
-        lightpath, = (ctrl.dag.payload(leaf) for leaf in ctrl.dag.leaves_under(iid)
-                      if isinstance(ctrl.dag.payload(leaf), LightpathIntent))
+        lightpath, = (node.payload for _, node in walk(ctrl.dag, iid)
+                      if isinstance(node.payload, LightpathIntent))
         path, mode, block = plans[-1]
         rebuilt.append(((lightpath.path, lightpath.mode, lightpath.slot_range),
                         (tuple(path), mode, block)))
+        walks[-1][1].append(None)
         return install(ctrl, iid)
 
-    def counted_attempt(ctrl, root):
+    def stripping(name, function):
+        def recorded(*args, **kwargs):
+            if active:
+                stripped.append(name)
+            return function(*args, **kwargs)
+        return recorded
+
+    def counted_attempt(ctrl, piece):
         attempts.append([0, 0])
         active.append(attempts[-1])
+        walks.append((piece, []))
         try:
-            return attempt(ctrl, root)
+            return attempt(ctrl, piece)
         finally:
             active.pop()
 
@@ -101,13 +121,24 @@ def test_recovery_installs_the_plan_its_probe_found(monkeypatch):
     monkeypatch.setattr(simulation, "compile_probe", recorded_probe)
     monkeypatch.setattr(simulation, "install_intent", recorded_install)
     monkeypatch.setattr(simulation, "_attempt_recovery", counted_attempt)
+    monkeypatch.setattr(intents.IntentDAG, "walk", recorded_walk)
+    monkeypatch.setattr(intents.IntentDAG, "remove_intent", stripping(
+        "remove_intent", intents.IntentDAG.remove_intent))
+    # Every module that binds uninstall_intent by name gets the recorder.
+    for module in (ibnsim, compilation, multidomain, simulation):
+        if getattr(module, "uninstall_intent", None) is uninstall:
+            monkeypatch.setattr(module, "uninstall_intent",
+                                stripping("uninstall_intent", uninstall))
     result = simulation.Simulation(
         scenario.parse_scenario(scenario_text("multidomain-churn", 4))).run()
 
     assert result_record(result) == PINS["multidomain-churn"]["4"]
-    # One planning pass per attempt that probes, none for one that does not.
-    assert all(counts in ([0, 0], [1, 1]) for counts in attempts)
+    # Every attempt has a failed piece to probe, and plans it once.
+    assert all(counts == [1, 1] for counts in attempts)
     feasible = [p for p in plans if p is not None]
     assert 0 < len(feasible) < len(plans)
     assert len(rebuilt) == len(feasible) >= result.metrics.failures_recovered > 0
     assert all(lightpath == probed for lightpath, probed in rebuilt)
+    # An attempt walks its piece once, and the install walks it once more.
+    assert all(ids in ([piece], [piece, None, piece]) for piece, ids in walks)
+    assert stripped == []

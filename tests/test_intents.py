@@ -178,7 +178,6 @@ ACCESSORS = {
     "parent": lambda dag, iid: dag.parent(iid),
     "root": lambda dag, iid: dag.root(iid),
     "walk": lambda dag, iid: dag.walk(iid),
-    "leaves_under": lambda dag, iid: dag.leaves_under(iid),
     "aggregate_state": lambda dag, iid: dag.aggregate_state(iid),
     "add_child": lambda dag, iid: dag.add_child(iid, RouterPortIntent(N1, 100)),
     "remove_intent": lambda dag, iid: dag.remove_intent(iid),

@@ -607,6 +607,34 @@ class TestFailuresAcrossDomains:
         assert snapshot(d1) == before
         assert mirror_mismatches(domains) == []
 
+    def test_repair_skips_a_domain_whose_only_failed_leaf_is_a_mirror(self, monkeypatch):
+        from ibnsim import simulation
+
+        domains = two_domains()
+        d1 = domains[1]
+        iid = installed_crossdomain_intent(domains)
+        assert monitor_failure(domains, NodeId(2, 1), NodeId(2, 2)) == 0
+        deliver_messages(domains)
+        mirror, = (leaf for leaf in d1.dag.failed
+                   if isinstance(d1.dag.payload(leaf), RemoteIntent))
+        assert d1.dag.failed == {mirror}
+        attempt, attempted = simulation._attempt_recovery, []
+
+        def recorded(ctrl, piece):
+            attempted.append(ctrl.id)
+            return attempt(ctrl, piece)
+
+        monkeypatch.setattr(simulation, "_attempt_recovery", recorded)
+        before = snapshot(d1), {i: n.state for i, n in d1.dag.nodes.items()}
+        # Domain 2 rebuilds its lightpath; domain 1 waits for the verdict.
+        assert monitor_repair(domains, NodeId(2, 1), NodeId(2, 2)) == 1
+        assert attempted == [2]
+        assert (snapshot(d1), {i: n.state for i, n in d1.dag.nodes.items()}) == before
+        assert not d1.outbox
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is I
+        assert mirror_mismatches(domains) == []
+
     def test_shared_fiber_failure_notifies_in_delegated_id_order(self):
         from ibnsim.simulation import POLICY_NONE, monitor_failure
 
@@ -630,8 +658,8 @@ class TestFailuresAcrossDomains:
         assert monitor_failure(domains, NodeId(2, 1), NodeId(2, 3)) == 1
         deliver_messages(domains)
         lightpaths = [
-            leaf for root in (first, second) for leaf in d2.dag.leaves_under(root)
-            if isinstance(d2.dag.payload(leaf), LightpathIntent)
+            leaf for root in (first, second) for leaf, node in d2.dag.walk(root)
+            if isinstance(node.payload, LightpathIntent)
         ]
         assert lightpaths == sorted(lightpaths, reverse=True)
 

@@ -208,7 +208,7 @@ class TestRun:
         # A booking no DAG leaf claims: the grid and the holders still agree
         # with each other, so only a check against the DAG can see it.
         ctrl, a, b, c = triangle_domain()
-        lightpath = ctrl.dag.leaves_under(installed(ctrl, a, b))[-1]
+        lightpath, _ = ctrl.dag.walk(installed(ctrl, a, b))[-1]
         assert audit_resources({1: ctrl}) == []
         graph = ctrl.graph
         if orphan == "slot":
@@ -496,8 +496,8 @@ class TestMonitorRepair:
 
 
 def test_recovery_leaves_a_healthy_root_alone():
-    # Both monitors hand in only roots of failed leaves; the check that the
-    # root failed is the routine's precondition, not a filter.
+    # Both monitors hand in only parents of failed lightpaths; the check
+    # that the piece failed is the routine's precondition, not a filter.
     ctrl, a, b, c = triangle_domain()
     iid = installed(ctrl, a, b)
     before = snapshot(ctrl)
