@@ -20,7 +20,6 @@ from .intents import (
     LightpathIntent,
     RemoteIntent,
     RouterPortIntent,
-    walk_state,
 )
 from .network import NetworkGraph, TransmissionMode
 
@@ -206,8 +205,7 @@ def install_intent(domain, iid) -> InstallOutcome:
     bit-identical to the pre-call state.
     """
     dag = domain.dag
-    walk = dag.walk(iid)
-    agg = walk_state(walk)
+    agg = dag.aggregate_state(iid)
     if agg is not IntentState.COMPILED:
         raise WrongStateError(f"intent {iid} is {agg.value}, expected compiled")
 
@@ -216,7 +214,7 @@ def install_intent(domain, iid) -> InstallOutcome:
     booked = []
     outcome = InstallOutcome.INSTALLED
     try:
-        for leaf, node in walk:
+        for leaf, node in dag.walk(iid):
             if node.children:
                 continue
             payload = node.payload

@@ -54,7 +54,7 @@ for _state in IntentState:
     _state.rank = _AGGREGATE_ORDER.index(_state)
     _state.successors = tuple(to for to in IntentState if (_state, to) in ALLOWED_TRANSITIONS)
 
-# States in which an intent holds its reservations until uninstalled.
+# States in which a leaf holds its reservations until uninstalled.
 HOLDING_STATES = (IntentState.INSTALLED, IntentState.FAILED)
 
 
@@ -286,7 +286,7 @@ class IntentDAG:
     def remove_intent(self, iid: IntentId) -> set:
         """Remove ``iid`` and its whole subtree.
 
-        Refuses while the subtree is installed or failed; returns the set of
+        Refuses while any leaf below holds (``holds``); returns the set of
         removed identifiers.
         """
         walk = self.walk(iid)
@@ -295,12 +295,11 @@ class IntentDAG:
 
     def drop(self, walk: list) -> None:
         """Remove the subtree that ``walk`` returned.  Refuses, with no
-        effect, while the subtree is installed or failed."""
+        effect, while any of its leaves holds (``holds``)."""
         iid, top = walk[0]
-        agg = walk_state(walk)
-        if agg in HOLDING_STATES:
+        if holds(walk):
             raise StillInstalledError(
-                f"intent {iid} is {agg.value}; uninstall before removing"
+                f"intent {iid} still holds resources; uninstall before removing"
             )
         nodes = self.nodes
         if top.parent is not None:
@@ -311,11 +310,11 @@ class IntentDAG:
             self.failed.difference_update(node for node, _ in walk)
 
 
-def walk_state(walk: list) -> IntentState:
-    """Aggregate state of the subtree ``walk`` of ``IntentDAG.walk``: the
-    lowest-ranked state among its leaves, as ``aggregate_state`` derives it."""
-    rank = len(_AGGREGATE_ORDER) - 1
+def holds(walk: list) -> bool:
+    """Whether a leaf of the subtree ``walk``, local or a mirror, is installed
+    or failed.  Teardown asks this, not the aggregate: booked leaves awaiting
+    a remote verdict aggregate to COMPILED."""
     for _, node in walk:
-        if not node.children and node.state.rank < rank:
-            rank = node.state.rank
-    return _AGGREGATE_ORDER[rank]
+        if not node.children and node.state in HOLDING_STATES:
+            return True
+    return False

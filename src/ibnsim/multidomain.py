@@ -35,7 +35,7 @@ from .intents import (
     IntentState,
     RemoteIntent,
     RouterPortIntent,
-    walk_state,
+    holds,
 )
 from .network import DEFAULT_MODE_TABLE, FiberLink, NetworkGraph, NodeId, OxcView, RouterView
 
@@ -205,18 +205,19 @@ class DomainController:
         self._release(iid, self.dag.walk(iid))
 
     def remove(self, iid: IntentId) -> None:
-        """Remove an intent subtree and withdraw its delegated parts; a refusal has no effect."""
+        """Remove an intent subtree and withdraw its delegated parts; refuses,
+        with no effect, while any leaf below holds (``holds``)."""
         self._drop(iid, self.dag.walk(iid))
 
     def withdraw(self, iid: IntentId) -> bool:
         """Tear an intent down in one walk of its subtree: ``uninstall`` it
-        if its aggregate holds resources, then ``remove`` it.
+        if any leaf holds resources (``holds``), then ``remove`` it.
 
         Returns True, removing nothing, when a neighbor was asked to release
         a piece: deliver messages to quiescence, then call ``remove``.
         """
         walk = self.dag.walk(iid)
-        if walk_state(walk) in HOLDING_STATES and self._release(iid, walk):
+        if holds(walk) and self._release(iid, walk):
             return True
         self._drop(iid, walk)
         return False
@@ -445,9 +446,9 @@ def _handle_uninstall(domain, msg):
     rid = msg.body.remote_id
     if rid not in domain.dag.nodes:
         raise UnknownRemoteError(f"uninstall for unknown intent {rid}")
-    agg = domain.dag.aggregate_state(rid)
-    if agg in HOLDING_STATES:
-        domain.uninstall(rid)
+    walk = domain.dag.walk(rid)
+    if holds(walk):
+        domain._release(rid, walk)
     _reply_state(domain, msg.sender, rid)
 
 

@@ -22,7 +22,7 @@ from .compilation import (
     release_leaves,
 )
 from .errors import ConservationError, UnknownLinkError
-from .intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent, walk_state
+from .intents import ConnectivityIntent, IntentId, IntentState, LightpathIntent
 from .multidomain import DomainController, deliver_messages
 from .network import NodeId
 
@@ -176,10 +176,10 @@ def _attempt_recovery(ctrl: DomainController, piece) -> int:
     link state.
     """
     dag = ctrl.dag
-    walk = dag.walk(piece)
     # Precondition: both callers hand in parents of failed lightpaths only.
-    if walk_state(walk) is not IntentState.FAILED:
+    if dag.aggregate_state(piece) is not IntentState.FAILED:
         return 0
+    walk = dag.walk(piece)
     payload = walk[0][1].payload
     leaves = walk[1:]
     plan = compile_probe(ctrl, payload.src, payload.dst, payload.rate,

@@ -388,7 +388,7 @@ class TestTeardown:
                     dict(ctrl.last_notified), set(ctrl.pending_installs))
 
         before = {did: bookkeeping(ctrl) for did, ctrl in domains.items()}
-        with pytest.raises(StillInstalledError, match=f"intent {iid} is installed"):
+        with pytest.raises(StillInstalledError, match=f"intent {iid} still holds resources"):
             d1.remove(iid)
         assert not d1.outbox
         assert {did: bookkeeping(ctrl) for did, ctrl in domains.items()} == before
@@ -477,10 +477,27 @@ class TestWithdraw:
         d1 = domains[1]
         iid = installed_local_intent(domains)
         before = (snapshot(d1), set(d1.dag.nodes), set(d1.dag.failed))
-        with pytest.raises(StillInstalledError, match=f"intent {iid} is installed"):
+        with pytest.raises(StillInstalledError, match=f"intent {iid} still holds resources"):
             d1.remove(iid)
         assert (snapshot(d1), set(d1.dag.nodes), set(d1.dag.failed)) == before
         assert not d1.outbox
+
+    def test_remove_refuses_a_pending_install_whose_local_leaves_are_booked(self):
+        # The local leaves are installed and the mirror still compiled, so
+        # the aggregate reads COMPILED; removing now would forget bookings.
+        domains = make_domains({1: 3, 2: 3}, [(NodeId(1, 3), NodeId(2, 1), 50.0)])
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(2, 3), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        assert d1.install(iid) is InstallOutcome.PENDING
+        assert d1.dag.aggregate_state(iid) is C
+        before = (snapshot(d1), set(d1.dag.nodes), len(d1.outbox))
+        with pytest.raises(StillInstalledError, match=f"intent {iid} still holds resources"):
+            d1.remove(iid)
+        assert (snapshot(d1), set(d1.dag.nodes), len(d1.outbox)) == before
+        deliver_messages(domains)
+        assert d1.dag.aggregate_state(iid) is I
 
     def test_uninstall_intent_refuses_when_no_local_leaf_holds(self):
         domains = two_domains()

@@ -535,6 +535,24 @@ def test_ksp_prefix_property_on_a_near_tie():
     assert g.k_shortest_paths(n[1], n[4], 5)[:4] == shorter
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: Yen ranks candidates by root + spur km, not by path_length",
+)
+def test_ksp_prefix_property_on_a_summation_order_tie():
+    # 1-2-3-4 and 1-3-2-4 sum the same three lengths in another order:
+    # 257.5670141351666 and 257.56701413516663 km.  k=4 returns 1-3-2-4
+    # fourth, yet k=5 ranks 1-2-3-4 before it.  A random graph of
+    # test_ksp_prefix_property drew this example.
+    g, n = graph_with_fibers([
+        (1, 2, 1.0118096860883838), (2, 4, 1.0118096860883838),
+        (1, 3, 1.555204449078218), (3, 4, 1.555204449078218),
+        (2, 3, 255.0), (1, 4, 1.0),
+    ])
+    shorter = g.k_shortest_paths(n[1], n[4], 4)
+    assert g.k_shortest_paths(n[1], n[4], 5)[:4] == shorter
+
+
 # -- lazy routes: the first path before any spur search -------------------------
 
 
