@@ -36,6 +36,17 @@ SCENARIO = {
 domains = parse_scenario(SCENARIO).build_domains()
 d1 = domains[1]
 
+
+def exchange():
+    for msg in deliver_messages(domains):
+        print(f"  d{msg.sender} -> d{msg.receiver}  #{msg.seq:<3} {msg.kind()}")
+
+
+def reserved_cells():
+    for did in sorted(domains):
+        print(f"  domain {did} reserved cells:", domains[did].graph.reserved_cells)
+
+
 iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(3, 3), 100))
 print(f"domain 1 received intent {iid}: 1.1 -> 3.3 at 100 Gbps")
 
@@ -45,8 +56,7 @@ print("domain 1 aggregate before any message exchange:",
       d1.dag.aggregate_state(iid).value)
 
 print("--- message exchange to quiescence")
-for msg in deliver_messages(domains):
-    print(f"  d{msg.sender} -> d{msg.receiver}  #{msg.seq:<3} {msg.kind()}")
+exchange()
 
 print("domain 1 aggregate after quiescence:", d1.dag.aggregate_state(iid).value)
 
@@ -58,11 +68,25 @@ for did in sorted(domains):
         state = ctrl.dag.aggregate_state(node_id).value
         print(f"  {node_id}  {type(payload).__name__:<18} {state}")
 
+
 # Installation walks the same route: local reservations plus an INSTALL
 # request per delegated piece, confirmed by notifications.
 print("--- install")
 d1.install(iid)
-deliver_messages(domains)
+exchange()
 print("outcome:", d1.dag.aggregate_state(iid).value)
-for did in sorted(domains):
-    print(f"  domain {did} reserved cells:", domains[did].graph.reserved_cells)
+reserved_cells()
+
+# Teardown is the mirror image: domain 1 releases its own leaves and asks
+# the neighbor holding the delegated piece to release it, which recurses.
+# Once the replies are in, removing the intent withdraws every piece.
+print("--- withdraw")
+asked = d1.withdraw(iid)
+print("a neighbor was asked to release its piece:", asked)
+exchange()
+print("--- remove")
+d1.remove(iid)
+exchange()
+reserved_cells()
+print("intents left per domain:",
+      {did: len(domains[did].dag.nodes) for did in sorted(domains)})

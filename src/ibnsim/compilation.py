@@ -3,9 +3,11 @@
 Compilation picks an implementation for a connectivity intent: a candidate
 path (k-shortest order), a transmission mode (fewest slots that satisfies
 rate and reach), and a first-fit contiguous spectrum block present on every
-link of the path.  Installation books the chosen resources atomically in
-the domain's graph: either every child resource is booked or nothing
-changes.
+link of the path.  Installation books the local resources atomically in
+the domain's graph, either every one or none, and then asks each
+neighbor holding a delegated piece to install it; release frees the local
+resources and asks those neighbors to release theirs.  These are the only
+install and release: the domain controller's methods call them.
 """
 
 import enum
@@ -20,6 +22,7 @@ from .intents import (
     LightpathIntent,
     RemoteIntent,
     RouterPortIntent,
+    holds,
 )
 from .network import NetworkGraph, TransmissionMode
 
@@ -173,7 +176,7 @@ def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
     graph = domain.graph
     for node in (src, dst):
         router, oxc = graph.routers[node], graph.oxcs[node]
-        ports = router.ports_used - len(as_free & router.port_holders.keys())
+        ports = router.ports_used - len(as_free & router.port_holders)
         ends = oxc.add_drop_used - len(as_free & oxc.add_drop_holders)
         if (ports >= router.port_count or rate > router.port_rate
                 or ends >= oxc.add_drop_capacity):
@@ -197,12 +200,13 @@ def _plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
 
 
 def install_intent(domain, iid) -> InstallOutcome:
-    """Reserve every local leaf resource of a compiled intent, all or nothing.
+    """Reserve every local leaf resource of a compiled intent, all or nothing,
+    then ask the neighbor of each delegated (remote) leaf to install it.
 
-    Delegated (remote) leaves are skipped: the controller requests them from
-    the neighbors, and the outcome is then PENDING.  The graph refuses any
-    booking that would overbook a resource; a conflict leaves the graph
-    bit-identical to the pre-call state.
+    Returns PENDING while those verdicts are outstanding: deliver messages
+    to quiescence, then read the aggregate state; a verdict that is not
+    installed rolls this level back.  A conflict leaves the graph
+    bit-identical to the pre-call state and sends nothing.
     """
     dag = domain.dag
     agg = dag.aggregate_state(iid)
@@ -211,15 +215,14 @@ def install_intent(domain, iid) -> InstallOutcome:
 
     graph = domain.graph
     # Book leaf by leaf, in walk order; a conflict releases what this call booked.
-    booked = []
-    outcome = InstallOutcome.INSTALLED
+    booked, mirrors = [], []
     try:
         for leaf, node in dag.walk(iid):
             if node.children:
                 continue
             payload = node.payload
             if isinstance(payload, RemoteIntent):
-                outcome = InstallOutcome.PENDING
+                mirrors.append((leaf, payload))
                 continue
             if node.state is not IntentState.COMPILED:
                 continue
@@ -234,7 +237,13 @@ def install_intent(domain, iid) -> InstallOutcome:
         return InstallOutcome.CONFLICT
     for leaf, _ in booked:
         dag.transition(leaf, IntentState.INSTALLED)
-    return outcome
+    # Every mirror here has its remote id: the aggregate is COMPILED, and a
+    # mirror leaves UNCOMPILED only through a StateNotify, which is matched
+    # through the mirror_index that only the neighbor's Ack fills.
+    for leaf, mirror in mirrors:
+        domain.pending_installs.add(leaf)
+        domain.send(mirror.neighbor, multidomain.InstallRequest(mirror.remote_id))
+    return InstallOutcome.PENDING if mirrors else InstallOutcome.INSTALLED
 
 
 def _release(graph, leaf, payload) -> None:
@@ -244,37 +253,40 @@ def _release(graph, leaf, payload) -> None:
         graph.release_lightpath(payload.path, payload.slot_range, leaf)
 
 
-def uninstall_intent(domain, iid) -> None:
-    """Release every resource held by the intent's local leaves.
+def uninstall_intent(domain, iid) -> bool:
+    """Release what the intent holds: ``release_leaves`` over its walk."""
+    return release_leaves(domain, iid, domain.dag.walk(iid))
 
-    Legal while some local leaf is installed or failed (a failed lightpath
-    keeps its reservations until explicitly uninstalled); those leaves return
-    to compiled.  Delegated leaves are left to the controller.
+
+def release_leaves(domain, iid, walk) -> bool:
+    """Release the subtree ``walk`` of ``IntentDAG.walk``; refuses, with no
+    effect, unless some leaf holds (``holds``).
+
+    Local leaves that hold return to compiled (a failed lightpath keeps its
+    reservations until released).  Each delegated leaf that holds or awaits
+    its install verdict gets one Uninstall; that verdict still arrives first.
+    Returns whether a neighbor was asked: deliver messages before removing.
     """
-    release_leaves(domain, iid, domain.dag.walk(iid))
-
-
-def release_leaves(domain, iid, walk) -> list:
-    """``uninstall_intent`` over the subtree ``walk`` of ``IntentDAG.walk``;
-    returns its delegated leaves as (id, node) pairs, for the controller."""
-    holding, mirrors = [], []
+    if not holds(walk):
+        agg = domain.dag.aggregate_state(iid)
+        raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
+    graph, dag, pending = domain.graph, domain.dag, domain.pending_installs
+    asked = False
     for leaf, node in walk:
         if node.children:
             continue
-        if isinstance(node.payload, RemoteIntent):
-            mirrors.append((leaf, node))
+        payload = node.payload
+        if isinstance(payload, RemoteIntent):
+            if node.state in HOLDING_STATES or leaf in pending:
+                domain.send(payload.neighbor, multidomain.Uninstall(payload.remote_id))
+                asked = True
         elif node.state in HOLDING_STATES:
-            holding.append((leaf, node))
-    if not holding:
-        agg = domain.dag.aggregate_state(iid)
-        raise WrongStateError(f"intent {iid} is {agg.value}, expected installed/failed")
-    for leaf, node in holding:
-        _release(domain.graph, leaf, node.payload)
-        domain.dag.transition(leaf, IntentState.COMPILED)
-    return mirrors
+            _release(graph, leaf, payload)
+            dag.transition(leaf, IntentState.COMPILED)
+    return asked
 
 
-# Imported last: multidomain imports this module's names, and
-# compile_connectivity reaches compile_crossdomain through the module
+# Imported last: multidomain imports this module's names, and this module
+# reaches compile_crossdomain and the message bodies through the module
 # attribute at call time.
 from . import multidomain  # noqa: E402

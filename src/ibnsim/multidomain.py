@@ -25,10 +25,10 @@ from .compilation import (
     compile_connectivity,
     install_intent,
     release_leaves,
+    uninstall_intent,
 )
-from .errors import UnknownRemoteError
+from .errors import UnknownRemoteError, WrongStateError
 from .intents import (
-    HOLDING_STATES,
     ConnectivityIntent,
     IntentDAG,
     IntentId,
@@ -177,71 +177,55 @@ class DomainController:
         return compile_connectivity(self, iid)
 
     def install(self, iid: IntentId) -> InstallOutcome:
-        """Book the local leaves, then ask each neighbor to install its piece.
+        """``compilation.install_intent`` in this domain."""
+        return install_intent(self, iid)
 
-        Returns PENDING while remote verdicts are outstanding: deliver
-        messages to quiescence, then read the aggregate state.  A verdict
-        that is not installed rolls this level back when it arrives.
-        """
-        outcome = install_intent(self, iid)
-        if outcome is InstallOutcome.PENDING:
-            nodes = self.dag.nodes
-            for child in nodes[iid].children:
-                mirror = nodes[child].payload
-                if not isinstance(mirror, RemoteIntent):
-                    continue
-                if mirror.remote_id is None:
-                    raise UnknownRemoteError(f"mirror {child} was never acknowledged")
-                self.pending_installs.add(child)
-                self.send(mirror.neighbor, InstallRequest(mirror.remote_id))
-        return outcome
-
-    def uninstall(self, iid: IntentId) -> None:
-        """Release the local leaves and ask every neighbor holding a piece to
-        release it; drops pending verdicts.
-
-        A failed piece keeps its reservations until it is uninstalled.
-        """
-        self._release(iid, self.dag.walk(iid))
+    def uninstall(self, iid: IntentId) -> bool:
+        """``compilation.uninstall_intent`` in this domain."""
+        return uninstall_intent(self, iid)
 
     def remove(self, iid: IntentId) -> None:
         """Remove an intent subtree and withdraw its delegated parts; refuses,
-        with no effect, while any leaf below holds (``holds``)."""
+        with no effect, while any leaf below holds (``holds``) or a
+        delegated part awaits a reply (see ``_drop``)."""
         self._drop(iid, self.dag.walk(iid))
 
     def withdraw(self, iid: IntentId) -> bool:
-        """Tear an intent down in one walk of its subtree: ``uninstall`` it
-        if any leaf holds resources (``holds``), then ``remove`` it.
+        """Tear an intent down in one walk of its subtree: release it if any
+        leaf holds resources (``holds``), then ``remove`` it.
 
         Returns True, removing nothing, when a neighbor was asked to release
         a piece: deliver messages to quiescence, then call ``remove``.
         """
         walk = self.dag.walk(iid)
-        if holds(walk) and self._release(iid, walk):
+        if holds(walk) and release_leaves(self, iid, walk):
             return True
         self._drop(iid, walk)
         return False
 
-    def _release(self, iid, walk) -> bool:
-        """``uninstall`` over the subtree ``walk``; returns whether a
-        neighbor was asked to release a piece."""
-        asked = False
-        for mirror, node in release_leaves(self, iid, walk):
-            self.pending_installs.discard(mirror)
-            if node.state in HOLDING_STATES:
-                self.send(node.payload.neighbor, Uninstall(node.payload.remote_id))
-                asked = True
-        return asked
-
     def _drop(self, iid, walk) -> None:
-        """``remove`` of the subtree ``walk``."""
-        self.dag.drop(walk)
-        for removed, node in walk:
+        """``remove`` of the subtree ``walk``.
+
+        Refuses, with no effect, while a leaf holds, or while a mirror awaits
+        its Ack or its install verdict: an unacknowledged piece has no id
+        that a Remove could name, and a verdict would name a mirror that is
+        gone.
+        """
+        for mirror, node in walk:
             payload = node.payload
-            if isinstance(payload, RemoteIntent) and payload.remote_id is not None:
+            # A walk that holds is refused by IntentDAG.drop instead.
+            if isinstance(payload, RemoteIntent) and (
+                    payload.remote_id is None or mirror in self.pending_installs
+            ) and not holds(walk):
+                raise WrongStateError(
+                    f"intent {iid} awaits a reply for its delegated part "
+                    f"{mirror}; deliver messages before removing it")
+        self.dag.drop(walk)
+        for _, node in walk:
+            payload = node.payload
+            if isinstance(payload, RemoteIntent):
                 self.send(payload.neighbor, Remove(payload.remote_id))
                 self.mirror_index.pop(payload.remote_id, None)
-                self.pending_installs.discard(removed)
         # Delegated intents are roots, so no other removed id is a key here.
         self.origins.pop(iid, None)
         self.last_notified.pop(iid, None)
@@ -415,13 +399,12 @@ def _handle_state_notify(domain, msg):
 
 
 def _compensate_failed_install(domain, mirror_node):
-    """A remote install failed: roll back this delegation level locally.
-
-    The failed mirror is neither pending nor holding by now, so the
-    uninstall sends it nothing.
-    """
+    """A remote install failed: roll back this delegation level locally,
+    unless an uninstall already did while the verdict was pending."""
     parent = domain.dag.parent(mirror_node)
-    domain.uninstall(parent)
+    walk = domain.dag.walk(parent)
+    if holds(walk):
+        release_leaves(domain, parent, walk)
     # Send the definitive verdict upstream even though the aggregate is
     # back to its pre-install value.
     if parent in domain.origins:
@@ -448,7 +431,7 @@ def _handle_uninstall(domain, msg):
         raise UnknownRemoteError(f"uninstall for unknown intent {rid}")
     walk = domain.dag.walk(rid)
     if holds(walk):
-        domain._release(rid, walk)
+        release_leaves(domain, rid, walk)
     _reply_state(domain, msg.sender, rid)
 
 

@@ -66,7 +66,7 @@ class RouterView:
     node: NodeId
     port_count: int
     port_rate: int  # Gbps per port
-    port_holders: dict = field(default_factory=dict)  # leaf intent id -> rate
+    port_holders: set = field(default_factory=set)  # router-port leaf ids
 
     @property
     def ports_used(self) -> int:
@@ -249,11 +249,13 @@ class NetworkGraph:
         router = self.routers[node]
         if holder in router.port_holders or not router.has_free_port(rate):
             raise BookingConflictError(f"no {rate} Gbps port for {holder} at {node}")
-        router.port_holders[holder] = rate
+        router.port_holders.add(holder)
 
     def release_port(self, node: NodeId, holder) -> None:
-        if self.routers[node].port_holders.pop(holder, None) is None:
+        holders = self.routers[node].port_holders
+        if holder not in holders:
             raise BookingConflictError(f"no port held by {holder} at {node}")
+        holders.remove(holder)
 
     def reserve_lightpath(self, path, slot_range, holder) -> None:
         """Book ``slot_range`` on every fiber of ``path`` and an add/drop

@@ -66,7 +66,7 @@ def snapshot(ctrl):
     graph = ctrl.graph
     return (
         {key: (dict(link.holders), link.busy) for key, link in graph.fiber_links.items()},
-        {node: dict(router.port_holders) for node, router in graph.routers.items()},
+        {node: set(router.port_holders) for node, router in graph.routers.items()},
         {node: set(oxc.add_drop_holders) for node, oxc in graph.oxcs.items()},
         graph.reserved_cells,
     )

@@ -268,12 +268,12 @@ def audit_resources(domains):
             problems.append(f"domain {did}: reserved_cells is not the held cell count")
         # Port accounting.
         for node, router in graph.routers.items():
-            held = router.port_holders
-            if held != claimed_ports.get(node, {}):
+            claimed = claimed_ports.get(node, {})
+            if router.port_holders != claimed.keys():
                 problems.append(f"domain {did}: port holders and DAG disagree at {node}")
             if router.ports_used > router.port_count:
                 problems.append(f"domain {did}: ports overbooked at {node}")
-            if sum(held.values()) > router.port_count * router.port_rate:
+            if sum(claimed.values()) > router.port_count * router.port_rate:
                 problems.append(f"domain {did}: port rate budget exceeded at {node}")
         for node, oxc in graph.oxcs.items():
             ends = claimed_ends.get(node, set())
@@ -425,7 +425,7 @@ def reference_plan(domain, src, dst, rate, excluded_links, as_free=frozenset()):
     graph = domain.graph
     for node in (src, dst):
         router, oxc = graph.routers[node], graph.oxcs[node]
-        ports = router.ports_used - len(as_free & router.port_holders.keys())
+        ports = router.ports_used - len(as_free & router.port_holders)
         ends = oxc.add_drop_used - len(as_free & oxc.add_drop_holders)
         if (ports >= router.port_count or rate > router.port_rate
                 or ends >= oxc.add_drop_capacity):

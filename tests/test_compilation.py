@@ -485,7 +485,7 @@ class TestBooking:
         assert snapshot(ctrl) == before
         graph.reserve_port(n1, "port-x", 100)
         graph.reserve_lightpath((n1, n2), (1, 4), "lp-x")
-        assert graph.routers[n1].port_holders == {"port-x": 100}
+        assert graph.routers[n1].port_holders == {"port-x"}
         assert graph.oxcs[n1].add_drop_holders == graph.oxcs[n2].add_drop_holders == {"lp-x"}
         assert graph.reserved_cells == 4
         graph.release_port(n1, "port-x")

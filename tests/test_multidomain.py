@@ -1,10 +1,19 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibnsim import multidomain
-from ibnsim.compilation import BlockReason, CompileOutcome, InstallOutcome, uninstall_intent
+from ibnsim.compilation import (
+    BlockReason,
+    CompileOutcome,
+    InstallOutcome,
+    install_intent,
+    uninstall_intent,
+)
 from ibnsim.errors import (
+    IbnError,
     LinkStateError,
     StillInstalledError,
     UnknownRemoteError,
@@ -30,6 +39,7 @@ from ibnsim.simulation import POLICY_NONE, Simulation, monitor_failure, monitor_
 
 from .builders import make_domain, make_domains, reserve, snapshot
 from .oracles import (
+    audit_resources,
     free_slots,
     link_state_problems,
     mirror_mismatches,
@@ -509,6 +519,154 @@ class TestWithdraw:
                            match=f"intent {iid} is compiled, expected installed/failed"):
             uninstall_intent(d1, iid)
         assert (snapshot(d1), {n: node.state for n, node in d1.dag.nodes.items()}) == before
+
+    def test_library_uninstall_asks_the_neighbor_to_release_its_piece(self):
+        domains = two_domains()
+        d1, d2 = domains[1], domains[2]
+        iid = installed_crossdomain_intent(domains)
+        assert d2.graph.reserved_cells == 16
+        asked = uninstall_intent(d1, iid)
+        assert [(m.receiver, m.kind()) for m in d1.outbox] == [(2, "uninstall")]
+        assert asked is True
+        deliver_messages(domains)
+        assert d2.graph.reserved_cells == 0
+        assert d1.withdraw(iid) is False
+        assert [m.kind() for m in deliver_messages(domains)] == ["remove"]
+        assert_torn_down(domains)
+
+    def test_withdraw_while_a_verdict_is_pending_asks_the_neighbor(self):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(2, 5), 100))
+        d1.compile(iid)
+        deliver_messages(domains)
+        assert d1.install(iid) is InstallOutcome.PENDING
+        assert d1.withdraw(iid) is True
+        assert [m.kind() for m in d1.outbox] == ["installrequest", "uninstall"]
+        # The verdict still comes back, so the mirror must outlive it.
+        before = world(domains)
+        with pytest.raises(WrongStateError, match="awaits a reply"):
+            d1.remove(iid)
+        assert world(domains) == before
+        deliver_messages(domains)
+        d1.remove(iid)
+        assert [m.kind() for m in deliver_messages(domains)] == ["remove"]
+        assert_torn_down(domains)
+
+    @pytest.mark.parametrize("teardown", ["remove", "withdraw"])
+    def test_teardown_before_the_ack_refuses_with_no_effect(self, teardown):
+        domains = two_domains()
+        d1 = domains[1]
+        iid = d1.add_intent(ConnectivityIntent(NodeId(1, 1), NodeId(2, 5), 100))
+        d1.compile(iid)
+        before = world(domains)
+        with pytest.raises(WrongStateError, match="awaits a reply"):
+            getattr(d1, teardown)(iid)
+        assert world(domains) == before
+        deliver_messages(domains)
+        assert d1.withdraw(iid) is False
+        assert [m.kind() for m in deliver_messages(domains)] == ["remove"]
+        assert_torn_down(domains)
+
+
+def world(domains):
+    """Everything a call may change, in every domain: bookings, the DAG with
+    each mirror's remote id, the outbox and the coordination bookkeeping."""
+    return {did: (snapshot(ctrl),
+                  {iid: (node.state, node.parent, tuple(node.children), repr(node.payload))
+                   for iid, node in ctrl.dag.nodes.items()},
+                  set(ctrl.dag.failed), list(ctrl.outbox), dict(ctrl.origins),
+                  dict(ctrl.last_notified), dict(ctrl.mirror_index),
+                  set(ctrl.pending_installs))
+            for did, ctrl in domains.items()}
+
+
+def assert_torn_down(domains):
+    for ctrl in domains.values():
+        assert ctrl.graph.reserved_cells == 0
+        assert not ctrl.dag.nodes and not ctrl.origins
+        assert not ctrl.mirror_index and not ctrl.pending_installs
+
+
+CALLS = {
+    "compile": lambda ctrl, iid: ctrl.compile(iid),
+    "install_intent": install_intent,
+    "install": lambda ctrl, iid: ctrl.install(iid),
+    "uninstall_intent": uninstall_intent,
+    "uninstall": lambda ctrl, iid: ctrl.uninstall(iid),
+    "withdraw": lambda ctrl, iid: ctrl.withdraw(iid),
+    "remove": lambda ctrl, iid: ctrl.remove(iid),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_call_strands_a_neighbor_booking(data):
+    # Every call either refuses and changes nothing, or takes effect, and
+    # every delivery leaves the bookings and mirrors audited clean.  Once the
+    # domains quiesce, withdrawing every root frees every booking in both
+    # domains and leaves no coordination entry behind.
+    domains = two_domains()
+    d1 = domains[1]
+    roots = [d1.add_intent(ConnectivityIntent(src, dst, 100)) for src, dst in data.draw(
+        st.lists(st.tuples(st.sampled_from([NodeId(1, 1), NodeId(1, 3)]),
+                           st.sampled_from([NodeId(1, 2), NodeId(2, 3), NodeId(2, 5)])),
+                 min_size=1, max_size=3), label="intents")]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12), label="steps")):
+        op = data.draw(st.sampled_from(sorted(CALLS) + ["deliver"]), label="op")
+        if op == "deliver":
+            deliver_messages(domains)
+            assert audit_resources(domains) == []
+            assert mirror_mismatches(domains) == []
+            continue
+        iid = data.draw(st.sampled_from(roots), label="intent")
+        before = world(domains)
+        try:
+            CALLS[op](d1, iid)
+        except IbnError:
+            assert world(domains) == before
+    deliver_messages(domains)
+    for iid in roots:
+        if iid in d1.dag.nodes:
+            d1.withdraw(iid)
+    deliver_messages(domains)
+    for iid in roots:
+        if iid in d1.dag.nodes:
+            d1.remove(iid)
+    deliver_messages(domains)
+    assert_torn_down(domains)
+
+
+def test_controller_calls_reach_the_library_install_and_release(monkeypatch):
+    # perfbench's tracer patches module bindings; a controller method that
+    # held its own reference would escape it.
+    calls = []
+
+    def recorder(name):
+        function = getattr(multidomain, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return function(*args)
+        return recorded
+
+    for name in ("install_intent", "uninstall_intent", "release_leaves"):
+        monkeypatch.setattr(multidomain, name, recorder(name))
+    domains = two_domains()
+    d1 = domains[1]
+    iid = installed_crossdomain_intent(domains)  # install
+    assert calls == ["install_intent", "install_intent"]  # and domain 2's handler
+    calls.clear()
+    d1.uninstall(iid)
+    deliver_messages(domains)  # domain 2's Uninstall handler
+    assert calls == ["uninstall_intent", "release_leaves"]
+    calls.clear()
+    d1.install(iid)
+    deliver_messages(domains)
+    calls.clear()
+    assert d1.withdraw(iid) is True
+    deliver_messages(domains)
+    assert calls == ["release_leaves", "release_leaves"]
 
 
 @pytest.mark.xfail(
